@@ -2,14 +2,17 @@
 /// \brief Frozen pre-optimization kernels; see baseline_kernels.hpp.
 ///
 /// Bodies are verbatim copies of src/comm/src/info_rate.cpp and
-/// src/noc/src/flit_sim.cpp as they stood before the vectorization PR
-/// (modulo namespace and the explicit wi:: qualifications).
+/// src/noc/src/flit_sim.cpp as they stood before the vectorization PR,
+/// and of src/fec/src/{bp,window}_decoder.cpp as they stood before the
+/// decoder-workspace PR (modulo namespace and the explicit wi::
+/// qualifications).
 
 #include "baseline_kernels.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -329,6 +332,245 @@ noc::FlitSimResult simulate_network(const noc::Topology& topology,
        static_cast<double>(modules));
   // Stability: everything measured was eventually delivered.
   result.stable = result.delivered >= result.injected * 995 / 1000;
+  return result;
+}
+
+// --- LDPC decoders ----------------------------------------------------
+
+BpDecoder::BpDecoder(const fec::SparseBinaryMatrix& h)
+    : n_vars_(h.cols()), n_checks_(h.rows()) {
+  check_edge_begin_.resize(n_checks_ + 1, 0);
+  for (std::size_t c = 0; c < n_checks_; ++c) {
+    check_edge_begin_[c + 1] =
+        check_edge_begin_[c] + static_cast<std::uint32_t>(h.row(c).size());
+  }
+  edge_var_.resize(check_edge_begin_[n_checks_]);
+  var_edges_.resize(n_vars_);
+  for (std::size_t c = 0; c < n_checks_; ++c) {
+    std::uint32_t e = check_edge_begin_[c];
+    for (const std::uint32_t v : h.row(c)) {
+      edge_var_[e] = v;
+      var_edges_[v].push_back(e);
+      ++e;
+    }
+  }
+}
+
+fec::BpResult BpDecoder::decode(
+    const std::vector<double>& channel_llr, const fec::BpOptions& options,
+    const std::vector<std::uint8_t>* check_parity) const {
+  if (channel_llr.size() != n_vars_) {
+    throw std::invalid_argument("BpDecoder::decode: LLR length mismatch");
+  }
+  if (check_parity != nullptr && check_parity->size() != n_checks_) {
+    throw std::invalid_argument("BpDecoder::decode: parity length mismatch");
+  }
+  const std::size_t n_edges = edge_var_.size();
+  std::vector<double> v2c(n_edges);
+  std::vector<double> c2v(n_edges, 0.0);
+
+  fec::BpResult result;
+  result.hard.assign(n_vars_, 0);
+  result.llr_out = channel_llr;
+
+  // Initial variable-to-check messages are the channel LLRs.
+  for (std::size_t e = 0; e < n_edges; ++e) {
+    v2c[e] = channel_llr[edge_var_[e]];
+  }
+
+  const double clip = options.llr_clip;
+  auto clipped = [clip](double x) { return std::clamp(x, -clip, clip); };
+
+  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    result.iterations = iter;
+
+    // Check node update.
+    for (std::size_t c = 0; c < n_checks_; ++c) {
+      const std::uint32_t begin = check_edge_begin_[c];
+      const std::uint32_t end = check_edge_begin_[c + 1];
+      const double target_sign =
+          (check_parity != nullptr && (*check_parity)[c]) ? -1.0 : 1.0;
+      if (options.min_sum) {
+        // Track the two smallest magnitudes and the total sign.
+        double min1 = 1e300;
+        double min2 = 1e300;
+        std::uint32_t min1_edge = begin;
+        double sign_product = target_sign;
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const double m = v2c[e];
+          const double mag = std::abs(m);
+          if (m < 0.0) sign_product = -sign_product;
+          if (mag < min1) {
+            min2 = min1;
+            min1 = mag;
+            min1_edge = e;
+          } else if (mag < min2) {
+            min2 = mag;
+          }
+        }
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const double mag = (e == min1_edge) ? min2 : min1;
+          double sign = sign_product;
+          if (v2c[e] < 0.0) sign = -sign;
+          c2v[e] = clipped(options.min_sum_scale * sign * mag);
+        }
+      } else {
+        // Sum-product via the tanh rule, leave-one-out by division with
+        // a guarded fallback when a message saturates.
+        double prod = target_sign;
+        bool saturated = false;
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const double t = std::tanh(0.5 * clipped(v2c[e]));
+          if (std::abs(t) < 1e-12) saturated = true;
+          prod *= t;
+        }
+        for (std::uint32_t e = begin; e < end; ++e) {
+          double t_out;
+          const double t_e = std::tanh(0.5 * clipped(v2c[e]));
+          if (!saturated && std::abs(t_e) > 1e-12) {
+            t_out = prod / t_e;
+          } else {
+            // Recompute leave-one-out explicitly.
+            t_out = target_sign;
+            for (std::uint32_t e2 = begin; e2 < end; ++e2) {
+              if (e2 == e) continue;
+              t_out *= std::tanh(0.5 * clipped(v2c[e2]));
+            }
+          }
+          t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
+          c2v[e] = clipped(2.0 * std::atanh(t_out));
+        }
+      }
+    }
+
+    // Variable node update and posterior.
+    for (std::size_t v = 0; v < n_vars_; ++v) {
+      double total = channel_llr[v];
+      for (const std::uint32_t e : var_edges_[v]) total += c2v[e];
+      result.llr_out[v] = total;
+      result.hard[v] = total < 0.0 ? 1 : 0;
+      for (const std::uint32_t e : var_edges_[v]) {
+        v2c[e] = clipped(total - c2v[e]);
+      }
+    }
+
+    if (options.early_stop) {
+      bool satisfied = true;
+      for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
+        std::uint8_t parity = 0;
+        for (std::uint32_t e = check_edge_begin_[c];
+             e < check_edge_begin_[c + 1]; ++e) {
+          parity ^= result.hard[edge_var_[e]];
+        }
+        const std::uint8_t target =
+            (check_parity != nullptr) ? (*check_parity)[c] : 0;
+        if (parity != target) satisfied = false;
+      }
+      if (satisfied) {
+        result.converged = true;
+        return result;
+      }
+    }
+  }
+  // Final syndrome check when early_stop was off or never hit.
+  bool satisfied = true;
+  for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
+    std::uint8_t parity = 0;
+    for (std::uint32_t e = check_edge_begin_[c]; e < check_edge_begin_[c + 1];
+         ++e) {
+      parity ^= result.hard[edge_var_[e]];
+    }
+    const std::uint8_t target =
+        (check_parity != nullptr) ? (*check_parity)[c] : 0;
+    if (parity != target) satisfied = false;
+  }
+  result.converged = satisfied;
+  return result;
+}
+
+WindowDecoder::WindowDecoder(const fec::LdpcConvolutionalCode& code,
+                             std::size_t window, fec::BpOptions bp_options)
+    : code_(code), window_(window), bp_options_(bp_options) {
+  if (window_ < code_.mcc() + 1) {
+    throw std::invalid_argument(
+        "WindowDecoder: W must be at least mcc + 1");
+  }
+  window_ = std::min(window_, code_.termination());
+
+  // Precompute the per-position subproblems: the window structure only
+  // depends on the position, so the (expensive) Tanner graph and
+  // decoder construction happens once, not once per codeword.
+  const std::size_t block_bits = code_.block_bits();
+  const std::size_t big_l = code_.termination();
+  const std::size_t check_block = code_.nc() * code_.lifting();
+  const fec::SparseBinaryMatrix& h = code_.parity_check();
+
+  positions_.reserve(big_l);
+  for (std::size_t t = 0; t < big_l; ++t) {
+    Position pos;
+    const std::size_t var_hi = std::min(t + window_, big_l);
+    std::size_t chk_hi = t + window_;
+    if (var_hi == big_l) chk_hi = big_l + code_.mcc();  // use termination
+    chk_hi = std::min(chk_hi, big_l + code_.mcc());
+
+    pos.var_begin = t * block_bits;
+    pos.var_end = var_hi * block_bits;
+    pos.chk_begin = t * check_block;
+    pos.chk_end = chk_hi * check_block;
+    pos.commit_end = (var_hi == big_l) ? pos.var_end
+                                       : pos.var_begin + block_bits;
+    pos.last = (var_hi == big_l);
+
+    fec::SparseBinaryMatrix sub(pos.chk_end - pos.chk_begin,
+                           pos.var_end - pos.var_begin);
+    for (std::size_t c = pos.chk_begin; c < pos.chk_end; ++c) {
+      for (const std::uint32_t v : h.row(c)) {
+        if (v >= pos.var_end) {
+          throw std::logic_error("WindowDecoder: future variable in window");
+        }
+        if (v >= pos.var_begin) {
+          sub.insert(c - pos.chk_begin, v - pos.var_begin);
+        } else {
+          // Frozen (already decoded) variable: its value feeds the
+          // check's parity target at decode time.
+          pos.frozen.push_back({static_cast<std::uint32_t>(c - pos.chk_begin),
+                                static_cast<std::uint32_t>(v)});
+        }
+      }
+    }
+    pos.decoder = std::make_unique<BpDecoder>(sub);
+    positions_.push_back(std::move(pos));
+    if (positions_.back().last) break;  // the tail window commits the rest
+  }
+}
+
+fec::WindowDecodeResult WindowDecoder::decode(
+    const std::vector<double>& channel_llr) const {
+  if (channel_llr.size() != code_.codeword_length()) {
+    throw std::invalid_argument("WindowDecoder: LLR length mismatch");
+  }
+
+  fec::WindowDecodeResult result;
+  result.hard.assign(channel_llr.size(), 0);
+
+  for (const Position& pos : positions_) {
+    std::vector<std::uint8_t> parity(pos.chk_end - pos.chk_begin, 0);
+    for (const auto& [check, var] : pos.frozen) {
+      parity[check] ^= result.hard[var];
+    }
+    std::vector<double> sub_llr(
+        channel_llr.begin() + static_cast<std::ptrdiff_t>(pos.var_begin),
+        channel_llr.begin() + static_cast<std::ptrdiff_t>(pos.var_end));
+    const fec::BpResult bp = pos.decoder->decode(sub_llr, bp_options_, &parity);
+    ++result.windows_run;
+    result.bp_iterations += static_cast<std::size_t>(bp.iterations);
+    if (!bp.converged) ++result.unconverged;
+
+    // Commit the target block (everything left, at the final position).
+    for (std::size_t v = pos.var_begin; v < pos.commit_end; ++v) {
+      result.hard[v] = bp.hard[v - pos.var_begin];
+    }
+  }
   return result;
 }
 

@@ -38,9 +38,19 @@ struct BerResult {
 
 /// BER of a QC-LDPC block code under full BP.
 [[nodiscard]] BerResult simulate_ber_block(const QcLdpcBlockCode& code,
+                                           const BpDecoder& decoder,
                                            const BerConfig& config);
 
-/// BER of a terminated LDPC-CC under sliding window decoding.
+/// Same, building the decoder for this one point.
+[[nodiscard]] BerResult simulate_ber_block(const QcLdpcBlockCode& code,
+                                           const BerConfig& config);
+
+/// BER of a terminated LDPC-CC under sliding window decoding. The
+/// decoder carries its own BpOptions: `config.bp` is not consulted.
+[[nodiscard]] BerResult simulate_ber_window(const WindowDecoder& decoder,
+                                            const BerConfig& config);
+
+/// Same, building a window-W decoder with `config.bp` for this one point.
 [[nodiscard]] BerResult simulate_ber_window(const LdpcConvolutionalCode& code,
                                             std::size_t window,
                                             const BerConfig& config);

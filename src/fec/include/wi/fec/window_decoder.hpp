@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,15 @@ struct WindowDecodeResult {
   std::size_t unconverged = 0;     ///< windows whose BP did not converge
 };
 
+/// Caller-owned scratch of WindowDecoder::decode: the BP workspace every
+/// window position shares, the position's parity targets, and the
+/// result. Reusable across decoders and codes of any size.
+struct WindowWorkspace {
+  BpWorkspace bp;
+  std::vector<std::uint8_t> parity;
+  WindowDecodeResult result;
+};
+
 /// Sliding window decoder bound to a code and window size W.
 class WindowDecoder {
  public:
@@ -35,10 +45,16 @@ class WindowDecoder {
   WindowDecoder(const LdpcConvolutionalCode& code, std::size_t window,
                 BpOptions bp_options = {});
 
-  /// Decode a full received LLR sequence (length L * N * nv).
+  /// Decode a full received LLR sequence (length L * N * nv) into
+  /// `workspace.result` and return it.
+  const WindowDecodeResult& decode(std::span<const double> channel_llr,
+                                   WindowWorkspace& workspace) const;
+
+  /// Same, with a workspace of its own.
   [[nodiscard]] WindowDecodeResult decode(
       const std::vector<double>& channel_llr) const;
 
+  [[nodiscard]] const LdpcConvolutionalCode& code() const { return code_; }
   [[nodiscard]] std::size_t window() const { return window_; }
 
   /// Structural latency, Eq. 4, using the asymptotic code rate.

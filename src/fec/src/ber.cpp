@@ -1,6 +1,7 @@
 #include "wi/fec/ber.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "wi/common/rng.hpp"
 
@@ -13,14 +14,13 @@ double noise_sigma(double ebn0_db, double rate) {
   return std::sqrt(1.0 / (2.0 * rate * ebn0));
 }
 
-}  // namespace
-
-BerResult simulate_ber_block(const QcLdpcBlockCode& code,
-                             const BerConfig& config) {
-  const std::size_t n = code.block_length();
-  const double sigma = noise_sigma(config.ebn0_db, code.design_rate());
+/// The Monte-Carlo loop shared by both code families: all-zero codeword
+/// over BPSK/AWGN, `decode` maps channel LLRs to hard decisions.
+template <typename Decode>
+BerResult simulate_ber(std::size_t n, double rate, const BerConfig& config,
+                       Decode&& decode) {
+  const double sigma = noise_sigma(config.ebn0_db, rate);
   const double llr_scale = 2.0 / (sigma * sigma);
-  const BpDecoder decoder(code.parity_check());
   Rng rng(config.seed);
 
   BerResult result;
@@ -30,9 +30,9 @@ BerResult simulate_ber_block(const QcLdpcBlockCode& code,
     for (std::size_t i = 0; i < n; ++i) {
       llr[i] = llr_scale * (1.0 + sigma * rng.gaussian());
     }
-    const BpResult bp = decoder.decode(llr, config.bp);
+    const std::vector<std::uint8_t>& hard = decode(llr);
     for (std::size_t i = 0; i < n; ++i) {
-      result.bit_errors += bp.hard[i];
+      result.bit_errors += hard[i];
     }
     result.bits += n;
     ++result.codewords;
@@ -43,32 +43,43 @@ BerResult simulate_ber_block(const QcLdpcBlockCode& code,
   return result;
 }
 
+}  // namespace
+
+BerResult simulate_ber_block(const QcLdpcBlockCode& code,
+                             const BpDecoder& decoder,
+                             const BerConfig& config) {
+  if (decoder.variable_count() != code.block_length()) {
+    throw std::invalid_argument("simulate_ber_block: decoder/code mismatch");
+  }
+  BpWorkspace workspace;
+  const auto decode = [&](const std::vector<double>& llr)
+      -> const std::vector<std::uint8_t>& {
+    return decoder.decode(llr, config.bp, nullptr, workspace).hard;
+  };
+  return simulate_ber(code.block_length(), code.design_rate(), config,
+                      decode);
+}
+
+BerResult simulate_ber_block(const QcLdpcBlockCode& code,
+                             const BerConfig& config) {
+  return simulate_ber_block(code, BpDecoder(code.parity_check()), config);
+}
+
+BerResult simulate_ber_window(const WindowDecoder& decoder,
+                              const BerConfig& config) {
+  const LdpcConvolutionalCode& code = decoder.code();
+  WindowWorkspace workspace;
+  const auto decode = [&](const std::vector<double>& llr)
+      -> const std::vector<std::uint8_t>& {
+    return decoder.decode(llr, workspace).hard;
+  };
+  return simulate_ber(code.codeword_length(), code.rate_asymptotic(), config,
+                      decode);
+}
+
 BerResult simulate_ber_window(const LdpcConvolutionalCode& code,
                               std::size_t window, const BerConfig& config) {
-  const std::size_t n = code.codeword_length();
-  const double sigma = noise_sigma(config.ebn0_db, code.rate_asymptotic());
-  const double llr_scale = 2.0 / (sigma * sigma);
-  const WindowDecoder decoder(code, window, config.bp);
-  Rng rng(config.seed);
-
-  BerResult result;
-  std::vector<double> llr(n);
-  while (result.codewords < config.max_codewords &&
-         result.bit_errors < config.min_errors) {
-    for (std::size_t i = 0; i < n; ++i) {
-      llr[i] = llr_scale * (1.0 + sigma * rng.gaussian());
-    }
-    const WindowDecodeResult wd = decoder.decode(llr);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.bit_errors += wd.hard[i];
-    }
-    result.bits += n;
-    ++result.codewords;
-  }
-  result.ber = result.bits == 0 ? 0.0
-                                : static_cast<double>(result.bit_errors) /
-                                      static_cast<double>(result.bits);
-  return result;
+  return simulate_ber_window(WindowDecoder(code, window, config.bp), config);
 }
 
 double required_ebn0_db(const std::function<BerResult(double)>& simulate,

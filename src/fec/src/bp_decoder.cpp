@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace wi::fec {
 
@@ -13,21 +14,41 @@ BpDecoder::BpDecoder(const SparseBinaryMatrix& h)
     check_edge_begin_[c + 1] =
         check_edge_begin_[c] + static_cast<std::uint32_t>(h.row(c).size());
   }
-  edge_var_.resize(check_edge_begin_[n_checks_]);
-  var_edges_.resize(n_vars_);
+  const std::uint32_t n_edges = check_edge_begin_[n_checks_];
+  edge_var_.resize(n_edges);
+  var_edge_begin_.assign(n_vars_ + 1, 0);
   for (std::size_t c = 0; c < n_checks_; ++c) {
     std::uint32_t e = check_edge_begin_[c];
     for (const std::uint32_t v : h.row(c)) {
-      edge_var_[e] = v;
-      var_edges_[v].push_back(e);
-      ++e;
+      edge_var_[e++] = v;
+      ++var_edge_begin_[v + 1];
     }
+  }
+  for (std::size_t v = 0; v < n_vars_; ++v) {
+    var_edge_begin_[v + 1] += var_edge_begin_[v];
+  }
+  // Scatter edge ids in increasing order, so each variable lists its
+  // edges in increasing id (the order its messages are summed in).
+  var_edge_.resize(n_edges);
+  std::vector<std::uint32_t> fill(var_edge_begin_.begin(),
+                                  var_edge_begin_.end() - 1);
+  for (std::uint32_t e = 0; e < n_edges; ++e) {
+    var_edge_[fill[edge_var_[e]]++] = e;
   }
 }
 
 BpResult BpDecoder::decode(const std::vector<double>& channel_llr,
                            const BpOptions& options,
                            const std::vector<std::uint8_t>* check_parity) const {
+  BpWorkspace workspace;
+  decode(channel_llr, options, check_parity, workspace);
+  return std::move(workspace.result);
+}
+
+const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
+                                  const BpOptions& options,
+                                  const std::vector<std::uint8_t>* check_parity,
+                                  BpWorkspace& workspace) const {
   if (channel_llr.size() != n_vars_) {
     throw std::invalid_argument("BpDecoder::decode: LLR length mismatch");
   }
@@ -35,12 +56,20 @@ BpResult BpDecoder::decode(const std::vector<double>& channel_llr,
     throw std::invalid_argument("BpDecoder::decode: parity length mismatch");
   }
   const std::size_t n_edges = edge_var_.size();
-  std::vector<double> v2c(n_edges);
-  std::vector<double> c2v(n_edges, 0.0);
+  // Every message array is written before it is read, so resizing
+  // (which never shrinks capacity) is all the set-up they need.
+  std::vector<double>& v2c = workspace.v2c;
+  std::vector<double>& c2v = workspace.c2v;
+  std::vector<double>& tanh_half = workspace.tanh_half;
+  v2c.resize(n_edges);
+  c2v.resize(n_edges);
+  tanh_half.resize(n_edges);
 
-  BpResult result;
+  BpResult& result = workspace.result;
   result.hard.assign(n_vars_, 0);
-  result.llr_out = channel_llr;
+  result.llr_out.assign(channel_llr.begin(), channel_llr.end());
+  result.iterations = 0;
+  result.converged = false;
 
   // Initial variable-to-check messages are the channel LLRs.
   for (std::size_t e = 0; e < n_edges; ++e) {
@@ -49,6 +78,19 @@ BpResult BpDecoder::decode(const std::vector<double>& channel_llr,
 
   const double clip = options.llr_clip;
   auto clipped = [clip](double x) { return std::clamp(x, -clip, clip); };
+  const auto syndrome_matches = [&] {
+    for (std::size_t c = 0; c < n_checks_; ++c) {
+      std::uint8_t parity = 0;
+      for (std::uint32_t e = check_edge_begin_[c];
+           e < check_edge_begin_[c + 1]; ++e) {
+        parity ^= result.hard[edge_var_[e]];
+      }
+      const std::uint8_t target =
+          (check_parity != nullptr) ? (*check_parity)[c] : 0;
+      if (parity != target) return false;
+    }
+    return true;
+  };
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     result.iterations = iter;
@@ -84,26 +126,27 @@ BpResult BpDecoder::decode(const std::vector<double>& channel_llr,
           c2v[e] = clipped(options.min_sum_scale * sign * mag);
         }
       } else {
-        // Sum-product via the tanh rule, leave-one-out by division with
-        // a guarded fallback when a message saturates.
+        // Sum-product via the tanh rule: one tanh per edge into the
+        // cache, then leave-one-out by division, with an explicit
+        // product over the cache when a message saturates.
         double prod = target_sign;
         bool saturated = false;
         for (std::uint32_t e = begin; e < end; ++e) {
           const double t = std::tanh(0.5 * clipped(v2c[e]));
+          tanh_half[e] = t;
           if (std::abs(t) < 1e-12) saturated = true;
           prod *= t;
         }
         for (std::uint32_t e = begin; e < end; ++e) {
           double t_out;
-          const double t_e = std::tanh(0.5 * clipped(v2c[e]));
+          const double t_e = tanh_half[e];
           if (!saturated && std::abs(t_e) > 1e-12) {
             t_out = prod / t_e;
           } else {
-            // Recompute leave-one-out explicitly.
             t_out = target_sign;
             for (std::uint32_t e2 = begin; e2 < end; ++e2) {
               if (e2 == e) continue;
-              t_out *= std::tanh(0.5 * clipped(v2c[e2]));
+              t_out *= tanh_half[e2];
             }
           }
           t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
@@ -114,46 +157,25 @@ BpResult BpDecoder::decode(const std::vector<double>& channel_llr,
 
     // Variable node update and posterior.
     for (std::size_t v = 0; v < n_vars_; ++v) {
+      const std::uint32_t begin = var_edge_begin_[v];
+      const std::uint32_t end = var_edge_begin_[v + 1];
       double total = channel_llr[v];
-      for (const std::uint32_t e : var_edges_[v]) total += c2v[e];
+      for (std::uint32_t i = begin; i < end; ++i) total += c2v[var_edge_[i]];
       result.llr_out[v] = total;
       result.hard[v] = total < 0.0 ? 1 : 0;
-      for (const std::uint32_t e : var_edges_[v]) {
+      for (std::uint32_t i = begin; i < end; ++i) {
+        const std::uint32_t e = var_edge_[i];
         v2c[e] = clipped(total - c2v[e]);
       }
     }
 
-    if (options.early_stop) {
-      bool satisfied = true;
-      for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
-        std::uint8_t parity = 0;
-        for (std::uint32_t e = check_edge_begin_[c];
-             e < check_edge_begin_[c + 1]; ++e) {
-          parity ^= result.hard[edge_var_[e]];
-        }
-        const std::uint8_t target =
-            (check_parity != nullptr) ? (*check_parity)[c] : 0;
-        if (parity != target) satisfied = false;
-      }
-      if (satisfied) {
-        result.converged = true;
-        return result;
-      }
+    if (options.early_stop && syndrome_matches()) {
+      result.converged = true;
+      return result;
     }
   }
   // Final syndrome check when early_stop was off or never hit.
-  bool satisfied = true;
-  for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
-    std::uint8_t parity = 0;
-    for (std::uint32_t e = check_edge_begin_[c]; e < check_edge_begin_[c + 1];
-         ++e) {
-      parity ^= result.hard[edge_var_[e]];
-    }
-    const std::uint8_t target =
-        (check_parity != nullptr) ? (*check_parity)[c] : 0;
-    if (parity != target) satisfied = false;
-  }
-  result.converged = satisfied;
+  result.converged = syndrome_matches();
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace wi::fec {
 
@@ -69,22 +70,32 @@ double WindowDecoder::structural_latency_bits() const {
 
 WindowDecodeResult WindowDecoder::decode(
     const std::vector<double>& channel_llr) const {
+  WindowWorkspace workspace;
+  decode(channel_llr, workspace);
+  return std::move(workspace.result);
+}
+
+const WindowDecodeResult& WindowDecoder::decode(
+    std::span<const double> channel_llr, WindowWorkspace& workspace) const {
   if (channel_llr.size() != code_.codeword_length()) {
     throw std::invalid_argument("WindowDecoder: LLR length mismatch");
   }
 
-  WindowDecodeResult result;
+  WindowDecodeResult& result = workspace.result;
   result.hard.assign(channel_llr.size(), 0);
+  result.windows_run = 0;
+  result.bp_iterations = 0;
+  result.unconverged = 0;
 
+  std::vector<std::uint8_t>& parity = workspace.parity;
   for (const Position& pos : positions_) {
-    std::vector<std::uint8_t> parity(pos.chk_end - pos.chk_begin, 0);
+    parity.assign(pos.chk_end - pos.chk_begin, 0);
     for (const auto& [check, var] : pos.frozen) {
       parity[check] ^= result.hard[var];
     }
-    std::vector<double> sub_llr(
-        channel_llr.begin() + static_cast<std::ptrdiff_t>(pos.var_begin),
-        channel_llr.begin() + static_cast<std::ptrdiff_t>(pos.var_end));
-    const BpResult bp = pos.decoder->decode(sub_llr, bp_options_, &parity);
+    const BpResult& bp = pos.decoder->decode(
+        channel_llr.subspan(pos.var_begin, pos.var_end - pos.var_begin),
+        bp_options_, &parity, workspace.bp);
     ++result.windows_run;
     result.bp_iterations += static_cast<std::size_t>(bp.iterations);
     if (!bp.converged) ++result.unconverged;

@@ -40,14 +40,16 @@ struct RunResult {
 
 /// Engine options.
 struct EngineOptions {
-  /// Worker threads for run_all/run_sweep; 0 = hardware concurrency.
+  /// Worker threads for run_all/run_sweep, and the fan-out budget of a
+  /// lone run(); 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Reuse hook for engines embedded in an external worker pool (the
   /// wi_serve daemon): pin PHY curve builds to one thread, because the
   /// *callers* are already running run() concurrently and a nested
   /// curve-build pool per cache miss would oversubscribe the machine.
   /// run_all() honors the pin too (it restores whatever build-thread
-  /// setting it found rather than resetting to "parallel").
+  /// setting it found rather than resetting to "parallel"), and
+  /// workload fan-outs (WorkloadEnv::parallel_for) run inline.
   bool serial_phy_builds = false;
 };
 
@@ -57,7 +59,9 @@ class SimEngine {
   explicit SimEngine(EngineOptions options = {});
 
   /// Run one scenario. Never throws for per-scenario failures: the
-  /// returned status records them and the table stays empty.
+  /// returned status records them and the table stays empty. A workload
+  /// that fans out (WorkloadEnv::parallel_for) may use up to the
+  /// engine's thread count.
   [[nodiscard]] RunResult run(const ScenarioSpec& spec);
 
   /// Completion hook for run_all: called once per scenario with its
@@ -69,7 +73,9 @@ class SimEngine {
       std::function<void(std::size_t index, const RunResult& result)>;
 
   /// Run many scenarios on a work-stealing thread pool. Results are in
-  /// input order and cell-identical for every thread count.
+  /// input order and cell-identical for every thread count. The thread
+  /// count bounds everything the call runs: workers out of scenarios
+  /// help with the fan-out tasks of those still running.
   /// \param threads  0 = engine option (0 there = hardware concurrency)
   [[nodiscard]] std::vector<RunResult> run_all(
       const std::vector<ScenarioSpec>& specs, std::size_t threads = 0,
@@ -92,6 +98,8 @@ class SimEngine {
 
  private:
   [[nodiscard]] std::size_t resolve_threads(std::size_t requested) const;
+  [[nodiscard]] RunResult run_with(const ScenarioSpec& spec,
+                                   detail::FanOut& fan_out);
 
   EngineOptions options_;
   PhyCurveCache phy_cache_;

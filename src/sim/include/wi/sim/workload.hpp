@@ -19,6 +19,7 @@
 /// a plugin object silently.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,19 +32,35 @@
 
 namespace wi::sim {
 
+namespace detail {
+class FanOut;  // the engine's per-call thread budget (engine.cpp)
+}  // namespace detail
+
 /// Execution environment a runner sees: the engine's shared PHY curve
-/// cache, an engine-level seed salt, and the result hooks (notes that
-/// end up on the RunResult next to the table).
+/// cache, the engine's threads (through parallel_for) and the result
+/// hooks (notes that end up on the RunResult next to the table).
+/// Campaigns reseed a run through WorkloadRunner::apply_seed, not here.
 class WorkloadEnv {
  public:
-  explicit WorkloadEnv(PhyCurveCache& phy_cache, std::uint64_t seed = 0)
-      : phy_cache_(phy_cache), seed_(seed) {}
+  explicit WorkloadEnv(PhyCurveCache& phy_cache,
+                       detail::FanOut* fan_out = nullptr)
+      : phy_cache_(phy_cache), fan_out_(fan_out) {}
 
   [[nodiscard]] PhyCurveCache& phy_cache() { return phy_cache_; }
 
-  /// Engine-level seed salt (0 for direct runs; campaigns reseed the
-  /// payload via WorkloadRunner::apply_seed instead).
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+  /// Runs task(0) .. task(count - 1) and returns when all have finished.
+  /// Tasks may run concurrently on the engine's threads, in any order,
+  /// so they must be independent of each other and must not touch this
+  /// env; a runner writes each task's output to its own slot and builds
+  /// the table afterwards. If tasks throw, the exception of the lowest
+  /// failing index is rethrown, as a serial loop would throw it. The
+  /// threads come from the engine call the env belongs to: a lone run()
+  /// may use the engine's thread count, a run_all() shares its thread
+  /// count between its workers and every fan-out under it, and an
+  /// engine with serial_phy_builds (or one thread) runs tasks inline.
+  /// A task may itself call parallel_for.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& task);
 
   /// Result hook: appends one line to the RunResult's notes.
   void note(std::string line) { notes_.push_back(std::move(line)); }
@@ -52,7 +69,7 @@ class WorkloadEnv {
 
  private:
   PhyCurveCache& phy_cache_;
-  std::uint64_t seed_ = 0;
+  detail::FanOut* fan_out_ = nullptr;
   std::vector<std::string> notes_;
 };
 

@@ -3,8 +3,10 @@
 /// \brief Payload of the "ldpc_latency" workload (Fig. 10 BER scan).
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
+#include "wi/common/table.hpp"
 #include "wi/sim/scenario.hpp"
 
 namespace wi::sim {
@@ -32,5 +34,13 @@ struct LdpcLatencySpec : PayloadBase<LdpcLatencySpec> {
   double search_hi_db = 6.0;
   double search_step_db = 0.25;
 };
+
+/// The trend statement of an ldpc_latency result table, computed from
+/// its printed cells: for each LDPC-CC curve (a run of rows of one N in
+/// increasing W) whether required Eb/N0 is non-increasing in W, and if
+/// not at how many W steps it rises; the same for the LDPC-BC points
+/// in increasing N; and at how many LDPC-BC points some LDPC-CC point
+/// of equal or lower latency needs less Eb/N0.
+[[nodiscard]] std::string ldpc_trend_note(const Table& table);
 
 }  // namespace wi::sim

@@ -11,9 +11,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "baseline_kernels.hpp"
 #include "wi/comm/filter_design.hpp"
 #include "wi/comm/info_rate.hpp"
+#include "wi/common/rng.hpp"
+#include "wi/fec/bp_decoder.hpp"
+#include "wi/fec/ldpc_code.hpp"
+#include "wi/fec/window_decoder.hpp"
 #include "wi/noc/flit_sim.hpp"
 
 namespace {
@@ -109,6 +118,186 @@ TEST(KernelIdentity, FlitSimulator) {
         wi::perf_baseline::simulate_network(c.topo, sp, c.traffic, c.rate,
                                             config),
         c.name);
+  }
+}
+
+// --- LDPC decoders ----------------------------------------------------
+
+/// BPSK/AWGN channel LLRs of the all-zero codeword (the BER loop's
+/// convention), drawn from `seed`.
+std::vector<double> channel_llrs(std::size_t n, double ebn0_db, double rate,
+                                 std::uint64_t seed) {
+  const double sigma =
+      std::sqrt(1.0 / (2.0 * rate * std::pow(10.0, ebn0_db / 10.0)));
+  wi::Rng rng(seed);
+  std::vector<double> llr(n);
+  for (double& v : llr) v = 2.0 / (sigma * sigma) * (1.0 + sigma * rng.gaussian());
+  return llr;
+}
+
+void expect_bitwise_equal(const std::vector<double>& a,
+                          const std::vector<double>& b, const char* label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i]),
+              std::bit_cast<std::uint64_t>(b[i]))
+        << label << " at " << i << ": " << a[i] << " vs " << b[i];
+  }
+}
+
+void expect_same_bp(const wi::fec::BpResult& a, const wi::fec::BpResult& b,
+                    const char* label) {
+  EXPECT_EQ(a.hard, b.hard) << label;
+  expect_bitwise_equal(a.llr_out, b.llr_out, label);
+  EXPECT_EQ(a.iterations, b.iterations) << label;
+  EXPECT_EQ(a.converged, b.converged) << label;
+}
+
+const wi::fec::QcLdpcBlockCode& block_code(std::size_t lifting) {
+  static const wi::fec::QcLdpcBlockCode small(wi::fec::BaseMatrix({{4, 4}}),
+                                              40, 40);
+  static const wi::fec::QcLdpcBlockCode large(wi::fec::BaseMatrix({{4, 4}}),
+                                              150, 150);
+  return lifting == 40 ? small : large;
+}
+
+TEST(KernelIdentity, BpDecoderSumProduct) {
+  const auto& code = block_code(150);
+  const wi::fec::BpDecoder fast(code.parity_check());
+  const wi::perf_baseline::BpDecoder frozen(code.parity_check());
+  wi::fec::BpWorkspace workspace;
+  for (const double ebn0 : {1.0, 2.5, 4.0}) {
+    const auto llr = channel_llrs(code.block_length(), ebn0, 0.5, 11);
+    expect_same_bp(fast.decode(llr, {}, nullptr, workspace),
+                   frozen.decode(llr), "sum-product");
+    expect_same_bp(fast.decode(llr), frozen.decode(llr), "wrapper");
+  }
+}
+
+TEST(KernelIdentity, BpDecoderSaturatedFallback) {
+  // Exact-zero channel LLRs make tanh(0) = 0 on their edges, which
+  // forces the explicit leave-one-out product on every check they touch.
+  const auto& code = block_code(150);
+  const wi::fec::BpDecoder fast(code.parity_check());
+  const wi::perf_baseline::BpDecoder frozen(code.parity_check());
+  wi::fec::BpWorkspace workspace;
+  for (const std::size_t stride : {3u, 7u, 29u}) {
+    auto llr = channel_llrs(code.block_length(), 2.0, 0.5, 5 + stride);
+    for (std::size_t i = 0; i < llr.size(); i += stride) llr[i] = 0.0;
+    expect_same_bp(fast.decode(llr, {}, nullptr, workspace),
+                   frozen.decode(llr), "saturated");
+  }
+}
+
+TEST(KernelIdentity, BpDecoderMinSum) {
+  const auto& code = block_code(150);
+  const wi::fec::BpDecoder fast(code.parity_check());
+  const wi::perf_baseline::BpDecoder frozen(code.parity_check());
+  wi::fec::BpOptions options;
+  options.min_sum = true;
+  wi::fec::BpWorkspace workspace;
+  for (const double ebn0 : {1.5, 3.0}) {
+    const auto llr = channel_llrs(code.block_length(), ebn0, 0.5, 21);
+    expect_same_bp(fast.decode(llr, options, nullptr, workspace),
+                   frozen.decode(llr, options), "min-sum");
+  }
+}
+
+TEST(KernelIdentity, BpDecoderCheckParityAndNoEarlyStop) {
+  const auto& code = block_code(150);
+  const wi::fec::BpDecoder fast(code.parity_check());
+  const wi::perf_baseline::BpDecoder frozen(code.parity_check());
+  std::vector<std::uint8_t> parity(code.check_count());
+  wi::Rng rng(77);
+  for (auto& p : parity) p = rng.uniform() < 0.3 ? 1 : 0;
+  const auto llr = channel_llrs(code.block_length(), 2.5, 0.5, 31);
+  wi::fec::BpWorkspace workspace;
+  for (const bool min_sum : {false, true}) {
+    for (const bool early_stop : {true, false}) {
+      wi::fec::BpOptions options;
+      options.min_sum = min_sum;
+      options.early_stop = early_stop;
+      options.max_iterations = 12;
+      expect_same_bp(fast.decode(llr, options, &parity, workspace),
+                     frozen.decode(llr, options, &parity), "parity");
+      expect_same_bp(fast.decode(llr, options, nullptr, workspace),
+                     frozen.decode(llr, options), "no early stop");
+    }
+  }
+}
+
+TEST(KernelIdentity, BpDecoderWorkspaceReusedAcrossCodeSizes) {
+  wi::fec::BpWorkspace workspace;
+  for (const std::size_t lifting : {150u, 40u, 150u, 40u}) {
+    const auto& code = block_code(lifting);
+    const wi::fec::BpDecoder fast(code.parity_check());
+    const wi::perf_baseline::BpDecoder frozen(code.parity_check());
+    const auto llr = channel_llrs(code.block_length(), 2.0, 0.5, lifting);
+    expect_same_bp(fast.decode(llr, {}, nullptr, workspace),
+                   frozen.decode(llr), "reused workspace");
+  }
+}
+
+void expect_same_window(const wi::fec::WindowDecodeResult& a,
+                        const wi::fec::WindowDecodeResult& b,
+                        const char* label) {
+  EXPECT_EQ(a.hard, b.hard) << label;
+  EXPECT_EQ(a.windows_run, b.windows_run) << label;
+  EXPECT_EQ(a.bp_iterations, b.bp_iterations) << label;
+  EXPECT_EQ(a.unconverged, b.unconverged) << label;
+}
+
+TEST(KernelIdentity, WindowDecoderAcrossWindowsAndNoise) {
+  const wi::fec::LdpcConvolutionalCode code(
+      wi::fec::EdgeSpreading::paper_example(), 25, 10, 25);
+  wi::fec::WindowWorkspace workspace;
+  for (const std::size_t w : {3u, 5u, 8u, 12u}) {
+    const wi::fec::WindowDecoder fast(code, w);
+    const wi::perf_baseline::WindowDecoder frozen(code, w);
+    for (const double ebn0 : {1.5, 3.0, 4.5}) {
+      const auto llr = channel_llrs(code.codeword_length(), ebn0,
+                                    code.rate_asymptotic(), 100 + w);
+      expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
+                         "window");
+      expect_same_window(fast.decode(llr), frozen.decode(llr), "wrapper");
+    }
+  }
+}
+
+TEST(KernelIdentity, WindowDecoderMinSumSaturatedAndNoEarlyStop) {
+  const wi::fec::LdpcConvolutionalCode code(
+      wi::fec::EdgeSpreading::paper_example(), 25, 8, 25);
+  auto llr = channel_llrs(code.codeword_length(), 2.0,
+                          code.rate_asymptotic(), 9);
+  for (std::size_t i = 0; i < llr.size(); i += 11) llr[i] = 0.0;
+  wi::fec::WindowWorkspace workspace;
+  for (const bool min_sum : {false, true}) {
+    for (const bool early_stop : {true, false}) {
+      wi::fec::BpOptions options;
+      options.min_sum = min_sum;
+      options.early_stop = early_stop;
+      options.max_iterations = 15;
+      const wi::fec::WindowDecoder fast(code, 4, options);
+      const wi::perf_baseline::WindowDecoder frozen(code, 4, options);
+      expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
+                         "options");
+    }
+  }
+}
+
+TEST(KernelIdentity, WindowDecoderWorkspaceReusedAcrossCodes) {
+  const wi::fec::LdpcConvolutionalCode small(
+      wi::fec::EdgeSpreading::paper_example(), 25, 10, 25);
+  const wi::fec::LdpcConvolutionalCode large(
+      wi::fec::EdgeSpreading::paper_example(), 40, 12, 40);
+  wi::fec::WindowWorkspace workspace;
+  for (const auto* code : {&large, &small, &large}) {
+    const wi::fec::WindowDecoder fast(*code, 4);
+    const wi::perf_baseline::WindowDecoder frozen(*code, 4);
+    const auto llr = channel_llrs(code->codeword_length(), 2.5,
+                                  code->rate_asymptotic(), code->lifting());
+    expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
+                       "reused workspace");
   }
 }
 
