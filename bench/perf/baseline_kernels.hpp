@@ -3,9 +3,10 @@
 /// \brief Pre-optimization reference implementations of the hot
 ///        simulation kernels (and their symbolwise/entropy siblings):
 ///        the info-rate trellis and the flit DES, frozen as of the PR
-///        that vectorized them, and the BP / window LDPC decoders,
-///        frozen as of the PR that gave them a workspace and one tanh
-///        per edge.
+///        that vectorized them; the cycle-stepped flit DES loop, frozen
+///        as of the PR that made the event core the only one in the
+///        library; and the BP / window LDPC decoders, frozen as of the
+///        PR that gave them a workspace and one tanh per edge.
 ///
 /// They exist for two reasons: the bench/perf suite and tools/perf_report
 /// measure the optimized kernels against them in the same process (so
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "wi/comm/info_rate.hpp"
+#include "wi/common/fault.hpp"
 #include "wi/fec/bp_decoder.hpp"
 #include "wi/fec/ldpc_code.hpp"
 #include "wi/fec/window_decoder.hpp"
@@ -48,6 +50,16 @@ namespace wi::perf_baseline {
     const noc::Topology& topology, const noc::Routing& routing,
     const noc::TrafficPattern& traffic, double injection_rate,
     const noc::FlitSimConfig& config = {});
+
+/// The cycle-stepped simulate_network loop the event core replaced:
+/// ring-buffer FIFOs and a dense next-hop table, every router visited
+/// every cycle, the injection process drawn cycle by cycle, and the
+/// same fault semantics (kill at the start of the cycle, reroute over
+/// the survivors). The event core must match it bit for bit.
+[[nodiscard]] noc::FlitSimResult simulate_network_legacy(
+    const noc::Topology& topology, const noc::Routing& routing,
+    const noc::TrafficPattern& traffic, double injection_rate,
+    const noc::FlitSimConfig& config, const fault::FaultSchedule& faults);
 
 /// Old fec::BpDecoder: per-variable edge lists in nested vectors, fresh
 /// message and result vectors on every decode, and two tanh evaluations

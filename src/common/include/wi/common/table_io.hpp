@@ -77,4 +77,12 @@ struct CompareOptions {
 [[nodiscard]] std::string format_diff(const TableDiff& diff,
                                       const Table& expected);
 
+/// Line-for-line comparison of text lines (a result's notes against a
+/// golden's): empty when equal, else "N note mismatch(es)" followed by
+/// up to `max_mismatches` "note I: expected 'E', got 'A'" lines in
+/// format_diff's layout ("no line" stands in for a missing side).
+[[nodiscard]] std::string diff_notes(const std::vector<std::string>& actual,
+                                     const std::vector<std::string>& expected,
+                                     std::size_t max_mismatches = 20);
+
 }  // namespace wi

@@ -1,5 +1,6 @@
 #include "wi/common/table_io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <ostream>
@@ -265,6 +266,33 @@ std::string format_diff(const TableDiff& diff, const Table& expected) {
     out += "\n  ... and " +
            std::to_string(diff.mismatch_count - diff.mismatches.size()) +
            " more";
+  }
+  return out;
+}
+
+std::string diff_notes(const std::vector<std::string>& actual,
+                       const std::vector<std::string>& expected,
+                       std::size_t max_mismatches) {
+  const auto quoted = [](const std::vector<std::string>& lines,
+                         std::size_t i) {
+    return i < lines.size() ? "'" + lines[i] + "'" : std::string("no line");
+  };
+  std::size_t count = 0;
+  std::string listed;
+  const std::size_t lines = std::max(actual.size(), expected.size());
+  for (std::size_t i = 0; i < lines; ++i) {
+    if (i < actual.size() && i < expected.size() && actual[i] == expected[i]) {
+      continue;
+    }
+    if (++count > max_mismatches) continue;
+    listed += "\n  note " + std::to_string(i) + ": expected " +
+              quoted(expected, i) + ", got " + quoted(actual, i);
+  }
+  if (count == 0) return {};
+  std::string out = std::to_string(count) + " note mismatch" +
+                    (count == 1 ? "" : "es") + listed;
+  if (count > max_mismatches) {
+    out += "\n  ... and " + std::to_string(count - max_mismatches) + " more";
   }
   return out;
 }

@@ -1,31 +1,32 @@
 #pragma once
 /// \file flit_sim.hpp
-/// \brief Cycle-based flit-level NoC simulator.
+/// \brief Event-driven flit-level NoC simulator.
 ///
 /// Independent cross-check of the analytic queueing model: input-queued
 /// routers, round-robin output arbitration, deterministic routing,
-/// Poisson packet injection per module. One flit moves per output
+/// Bernoulli packet injection per module. One flit moves per output
 /// channel per cycle (per-channel bandwidth b moves up to b flits);
-/// router traversal adds a fixed pipeline delay.
+/// router traversal adds a fixed, whole-cycle pipeline delay.
 ///
-/// Engineered for throughput: preallocated ring-buffer FIFOs, hoisted
-/// per-output bandwidth budgets, and an up-front
-/// (router, dst_router) -> (link, output port) table replacing lazy
-/// routing calls. Results are deterministic per seed and bit-identical
-/// to the original deque-based implementation. Routing failures
-/// (unreachable pairs, inconsistent next hops) are recorded during
-/// table construction and thrown once as wi::StatusError the first time
-/// a flit actually needs the failed route.
+/// The core only turns a router on a cycle where it has work (a flit
+/// becomes ready, a packet is offered, or a blocked head retries), and
+/// it draws the injection process as the run advances. Results are
+/// deterministic per seed and bit-identical to the cycle-stepped loop
+/// it replaced (kept as the differential oracle in bench/perf). Routing
+/// failures (unreachable pairs, inconsistent next hops) are recorded
+/// during table construction and thrown once as wi::StatusError the
+/// first time a flit actually needs the failed route.
 ///
 /// Fault injection: the six-argument overload takes a
 /// wi::fault::FaultSchedule of link/router failures. When an event
-/// activates, the dead entity's buffered flits are destroyed and the
-/// next-hop table is recomputed over the surviving graph (deterministic
-/// reverse BFS, minimal hops, lowest link index first), so traffic
-/// reroutes around the failure. Destinations cut off from a source
-/// surface as wi::Status rows in FlitSimResult::route_failures — flits
-/// bound for them are dropped and counted, never thrown. An empty
-/// schedule takes the exact legacy code path bit for bit.
+/// activates (at the start of its cycle), the dead entity's buffered
+/// flits are destroyed and the next-hop table is recomputed over the
+/// surviving graph (deterministic reverse BFS, minimal hops, lowest
+/// link index first), so traffic reroutes around the failure.
+/// Destinations cut off from a source surface as wi::Status rows in
+/// FlitSimResult::route_failures — flits bound for them are dropped and
+/// counted, never thrown. An empty schedule is bit-identical to the
+/// five-argument overload.
 
 #include <cstdint>
 #include <vector>
@@ -38,33 +39,26 @@
 
 namespace wi::noc {
 
-/// Simulator core selection. kAuto picks the event-driven core whenever
-/// the router delay is >= 1 cycle (the event wheel needs a nonzero
-/// pipeline depth to bound wake horizons) and the cycle-stepped legacy
-/// loop otherwise. Both cores are bit-identical; kLegacy exists as the
-/// differential-testing oracle and the zero-delay fallback.
-enum class FlitSimCore {
-  kAuto,
-  kLegacy,  ///< original cycle-stepped loop (visits every router)
-  kEvent,   ///< event-wheel + SoA core (requires router delay >= 1)
-};
-
 /// Simulator settings.
 struct FlitSimConfig {
   std::size_t warmup_cycles = 3000;    ///< excluded from statistics
   std::size_t measure_cycles = 20000;  ///< measurement window
   std::size_t drain_cycles = 20000;    ///< post-window drain limit
   std::size_t buffer_depth = 8;        ///< input queue capacity [flits]
-  double router_delay_cycles = 2.0;    ///< pipeline depth
+  /// Pipeline depth per hop: a whole number of cycles in
+  /// [1, kMaxRouterDelayCycles] (see validate_router_delay).
+  double router_delay_cycles = 2.0;
   std::uint64_t seed = 1;
-  /// Worker threads for the partitioned-parallel event core (0 = one
-  /// per hardware thread). Results are bit-identical at any value.
-  std::size_t threads = 1;
-  /// Mesh partitions (contiguous router ranges) for the parallel mode;
-  /// 0 derives the count from `threads`. 1 partition = sequential core.
-  std::size_t partitions = 0;
-  FlitSimCore core = FlitSimCore::kAuto;
 };
+
+/// Largest router delay the event wheel accepts (its slot count grows
+/// with the delay).
+inline constexpr double kMaxRouterDelayCycles = 1024.0;
+
+/// ok when `cycles` is a whole number in [1, kMaxRouterDelayCycles];
+/// kInvalidSpec otherwise. Spec validators use it so a bad delay is
+/// rejected before a run instead of thrown from simulate_network.
+[[nodiscard]] Status validate_router_delay(double cycles);
 
 /// Aggregated results.
 struct FlitSimResult {
@@ -88,14 +82,20 @@ struct FlitSimResult {
   /// fault_sweep workload surfaces instead of a throw.
   std::vector<Status> route_failures;
   /// Diagnostics (not part of any golden): router turns the core
-  /// actually executed. The event core only turns routers with pending
-  /// work, so this is 0 for a zero-traffic run and far below
-  /// routers * cycles at low load; the legacy core leaves it 0.
+  /// actually executed. A router is only turned on a cycle where it has
+  /// work (a ready flit, a queued offer, or a blocked head to retry), so
+  /// this is 0 for a zero-traffic run and far below routers * cycles at
+  /// low load.
   std::uint64_t turns_executed = 0;
 };
 
 /// Run one simulation at a given injection rate [packets/cycle/module]
 /// (single-flit packets, matching the analytic model's default).
+/// Throws wi::StatusError (kInvalidSpec) for a router delay that
+/// validate_router_delay rejects and for configs beyond the packed
+/// flit record (2^26 routers, 2^37 total cycles, buffer depth 2^16);
+/// std::invalid_argument when the traffic pattern's module count does
+/// not match the topology.
 [[nodiscard]] FlitSimResult simulate_network(const Topology& topology,
                                              const Routing& routing,
                                              const TrafficPattern& traffic,

@@ -1,165 +1,141 @@
+/// \file flit_sim.cpp
+/// \brief Event-wheel + SoA flit simulator, single-threaded, drawing the
+///        injection process as the run advances. Bit-identical to the
+///        cycle-stepped loop it replaced (kept as the differential
+///        oracle in bench/perf/flit_sim_legacy.cpp).
+///
+/// Three ideas, layered:
+///
+/// 1. Bitmap event wheel. A router only does work on a cycle where (a)
+///    a flit becomes ready in one of its input rings, (b) one of its
+///    modules offers a packet, or (c) a head it could not move last
+///    cycle retries. Each slot is a router *bitmap*, not a list:
+///    scheduling is a single idempotent OR (no dedup state), and
+///    draining a slot is a countr_zero walk that visits routers in
+///    ascending index order (the legacy within-cycle order).
+///    Wake-horizon invariant: a wake set while cycle c runs lands in
+///    [c, c + delay] — (b) at c itself, before the slot is drained,
+///    (a) at c + delay, (c) at c + 1 — so a power-of-two wheel of
+///    W >= delay + 2 slots holds every pending wake, each live bit's
+///    cycle is the first occurrence of its slot at or after the current
+///    cycle, and every turn has work. Cycles with nothing due and
+///    nothing to draw (the drain window after traffic stops) are skipped
+///    wholesale.
+///
+/// 2. Streamed injection. Every cycle below the end of the measurement
+///    window walks the legacy RNG sequence: one raw() per module, tested
+///    in integer space against ceil(p * 2^53) (bit-equal to
+///    bernoulli(p)), then on a hit one uniform() plus a guided CDF search
+///    whose final comparisons are lower_bound's, or the implicit
+///    pattern's closed-form sampler. Offers queue in per-router source
+///    FIFOs and wake their router the same cycle; nothing is drawn ahead
+///    of the clock, so a fault can act on a router's offers as they are
+///    drawn, exactly like the legacy loop.
+///
+/// 3. Cache-conscious flit records. A flit is one 16-byte record (ready
+///    cycle; meta = inject cycle | destination router << 37 | measured
+///    << 63) that travels unchanged hop to hop, and source FIFOs hold
+///    the same meta words. The round-robin arbitration pointer advances
+///    exactly once per router per cycle, so it is derived as cycle mod
+///    n_inputs, and on the (ubiquitous) all-bandwidth-1 topologies the
+///    per-output budgets collapse to one u32 mask held in a register for
+///    the whole turn. The packing caps the simulator at 2^26 routers,
+///    2^37 total cycles, and 2^16-1 buffer depth.
+
 #include "wi/noc/flit_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "flit_sim_internal.hpp"
 #include "wi/common/rng.hpp"
 #include "wi/common/status.hpp"
+#include "wi/noc/mesh_grid.hpp"
+#include "wi/noc/routing.hpp"
 
 namespace wi::noc {
 
 namespace {
 
-/// 32 bytes (half a cache line): the simulator copies flits on every
-/// hop, so keeping them small is worth the narrower router index.
-struct Flit {
-  std::uint32_t dst_router = 0;
-  std::uint32_t dst_module = 0;
-  std::uint64_t inject_cycle = 0;
-  std::uint64_t ready_cycle = 0;  ///< earliest cycle it can move again
-  bool measured = false;
+using std::size_t;
+using u8 = std::uint8_t;
+using u32 = std::uint32_t;
+using u64 = std::uint64_t;
+
+constexpr u64 kNever = ~u64{0};
+constexpr u8 kNoPort = 0xFF;      ///< pair never routed (unused dst)
+constexpr u8 kFailedPort = 0xFE;  ///< routing failed; Status recorded
+constexpr u8 kEject = 0xFD;       ///< cached port: flit is at its dst
+constexpr size_t kMaxRouteFailures = 8;
+/// Flit meta word: inject cycle | dst router << 37 | measured << 63.
+constexpr unsigned kCycBits = 37;
+constexpr u64 kCycMask = (u64{1} << kCycBits) - 1;
+constexpr unsigned kDstBits = 26;
+constexpr u32 kDstMask = (u32{1} << kDstBits) - 1;
+
+/// cycle mod n_inputs with compiler-strength-reduced constants for the
+/// small port counts every mesh router has (the hot path runs this once
+/// per turn; a hardware 64-bit division would dominate small turns).
+inline u32 fast_mod(u64 c, u32 n) {
+  switch (n) {
+    case 1: return 0;
+    case 2: return static_cast<u32>(c & 1);
+    case 3: return static_cast<u32>(c % 3);
+    case 4: return static_cast<u32>(c & 3);
+    case 5: return static_cast<u32>(c % 5);
+    case 6: return static_cast<u32>(c % 6);
+    case 7: return static_cast<u32>(c % 7);
+    case 8: return static_cast<u32>(c & 7);
+    case 9: return static_cast<u32>(c % 9);
+    default: return static_cast<u32>(c % n);
+  }
+}
+
+/// (router, dst_router) -> local output port, one byte per pair (the
+/// port alone recovers link and downstream ring through the per-router
+/// out-link arrays, so 16^3 meshes stay cache-resident).
+struct PortTable {
+  std::vector<u8> port;  ///< [at * routers + dst]
+  std::unordered_map<size_t, Status> failures;
 };
 
-/// Preallocated power-of-two ring buffer FIFO. Channel queues never
-/// outgrow the configured buffer depth; injection queues double on
-/// demand (amortised O(1), no per-flit allocation in steady state).
-///
-/// The head flit's ready cycle is mirrored into the ring header (with
-/// "never" for an empty ring), so the switch-allocation scan decides
-/// "can anything move here?" from one contiguous load instead of
-/// chasing into the slot storage every cycle.
-class FlitRing {
- public:
-  static constexpr std::uint64_t kNeverReady =
-      ~static_cast<std::uint64_t>(0);
-
-  void reserve_pow2(std::size_t min_capacity) {
-    std::size_t cap = 1;
-    while (cap < min_capacity) cap <<= 1;
-    slots_.resize(cap);
-  }
-
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  /// Ready cycle of the head flit; kNeverReady when empty.
-  [[nodiscard]] std::uint64_t head_ready() const { return head_ready_; }
-
-  [[nodiscard]] Flit& front() { return slots_[head_]; }
-
-  void pop_front() {
-    head_ = (head_ + 1) & (slots_.size() - 1);
-    --size_;
-    head_ready_ = size_ == 0 ? kNeverReady : slots_[head_].ready_cycle;
-  }
-
-  void push_back(const Flit& flit) {
-    if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = flit;
-    if (size_ == 0) head_ready_ = flit.ready_cycle;
-    ++size_;
-  }
-
-  /// Appends a copy of `flit` with a different ready cycle, writing the
-  /// tail slot directly (the forwarding hot path).
-  void push_back_rescheduled(const Flit& flit, std::uint64_t ready_cycle) {
-    if (size_ == slots_.size()) {
-      // `flit` may alias this ring's storage (self-loop link): copy
-      // before grow() reallocates the slots.
-      const Flit copy = flit;
-      grow();
-      push_back_rescheduled(copy, ready_cycle);
-      return;
-    }
-    Flit& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
-    slot = flit;
-    slot.ready_cycle = ready_cycle;
-    if (size_ == 0) head_ready_ = ready_cycle;
-    ++size_;
-  }
-
-  /// Destroys every queued flit (a fault activation killed the buffer).
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-    head_ready_ = kNeverReady;
-  }
-
- private:
-  void grow() {
-    std::vector<Flit> bigger(slots_.empty() ? 16 : slots_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i) {
-      bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
-    }
-    head_ = 0;
-    slots_.swap(bigger);
-  }
-
-  std::vector<Flit> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t head_ready_ = kNeverReady;
-};
-
-constexpr std::uint32_t kNoHop = 0xFFFFFFFFu;
-constexpr std::uint32_t kFailedHop = 0xFFFFFFFEu;
-
-/// Precomputed (router, dst_router) -> first-hop table. Routing
-/// failures are recorded once here and surfaced as a structured
-/// wi::Status the first time a flit actually needs the failed entry —
-/// matching the lazy cache's behaviour without re-invoking the routing
-/// function per flit.
-struct NextHop {
-  std::uint32_t link = kNoHop;       ///< link index
-  std::uint32_t out_index = kNoHop;  ///< local output port on the router
-};
-
-struct NextHopTable {
-  std::size_t routers = 0;
-  std::vector<NextHop> hops;  ///< [at*routers + dst], one 8-byte load
-  std::unordered_map<std::size_t, Status> failures;
-};
-
-NextHopTable build_next_hop_table(const Topology& topology,
-                                  const Routing& routing,
-                                  const std::vector<bool>& dst_used) {
-  const std::size_t routers = topology.router_count();
-  NextHopTable table;
-  table.routers = routers;
-  table.hops.assign(routers * routers, NextHop{});
-  for (std::size_t at = 0; at < routers; ++at) {
+PortTable build_port_table(const Topology& topology, const Routing& routing,
+                           const std::vector<bool>& dst_used) {
+  const size_t routers = topology.router_count();
+  PortTable table;
+  table.port.assign(routers * routers, kNoPort);
+  for (size_t at = 0; at < routers; ++at) {
     const auto& outs = topology.out_links(at);
-    for (std::size_t dst = 0; dst < routers; ++dst) {
+    if (outs.size() >= kFailedPort) {
+      throw StatusError(Status(
+          StatusCode::kExecutionError,
+          "simulate_network: router " + std::to_string(at) + " has " +
+              std::to_string(outs.size()) +
+              " output ports; the byte-wide port table supports at most "
+              "253"));
+    }
+    for (size_t dst = 0; dst < routers; ++dst) {
       if (at == dst || !dst_used[dst]) continue;
-      const std::size_t key = at * routers + dst;
-      Route route;
+      const size_t key = at * routers + dst;
+      size_t l;
       try {
-        route = routing.route(topology, at, dst);
+        l = routing.first_hop(topology, at, dst);
       } catch (const StatusError& e) {
-        table.hops[key].link = kFailedHop;
+        table.port[key] = kFailedPort;
         table.failures.emplace(key, e.status());
         continue;
       }
-      if (route.empty()) {
-        table.hops[key].link = kFailedHop;
-        table.failures.emplace(
-            key, Status(StatusCode::kExecutionError,
-                        "simulate_network: empty route for transit from "
-                        "router " + std::to_string(at) + " to " +
-                        std::to_string(dst)));
-        continue;
-      }
-      const std::size_t l = route.front();
-      // Bounded scan for the local output port; a next-hop link that is
-      // not an out-link of this router is a routing-function bug and is
-      // reported instead of running off the end of the port list.
-      std::size_t oi = 0;
+      size_t oi = 0;
       while (oi < outs.size() && outs[oi] != l) ++oi;
       if (oi == outs.size()) {
-        table.hops[key].link = kFailedHop;
+        table.port[key] = kFailedPort;
         table.failures.emplace(
             key, Status(StatusCode::kExecutionError,
                         "simulate_network: next-hop link " +
@@ -167,89 +143,858 @@ NextHopTable build_next_hop_table(const Topology& topology,
                             "router " + std::to_string(at)));
         continue;
       }
-      table.hops[key].link = static_cast<std::uint32_t>(l);
-      table.hops[key].out_index = static_cast<std::uint32_t>(oi);
+      table.port[key] = static_cast<u8>(oi);
     }
   }
   return table;
 }
 
-/// Recompute-on-failure reroute: rebuild the next-hop table over the
-/// surviving graph. One reverse BFS per used destination (minimal hop
-/// count; ties broken by out-link order, so the result is deterministic
-/// and independent of how the failure set was produced). Sources with
-/// no live path get kFailedHop plus a kUnreachableRoute Status — the
-/// fault-mode forwarding loop drops those flits instead of throwing.
-void rebuild_live_routes(const Topology& topology,
-                         const std::vector<bool>& dst_used,
-                         const std::vector<std::vector<std::size_t>>& in_channels,
-                         const std::vector<std::uint8_t>& link_alive,
-                         const std::vector<std::uint8_t>& router_alive,
-                         NextHopTable& table) {
-  const std::size_t routers = topology.router_count();
-  std::vector<std::uint32_t> dist(routers);
-  std::vector<std::uint32_t> bfs_queue(routers);
-  constexpr std::uint32_t kUnset = 0xFFFFFFFFu;
-  for (std::size_t dst = 0; dst < routers; ++dst) {
-    if (!dst_used[dst]) continue;
-    std::fill(dist.begin(), dist.end(), kUnset);
-    std::size_t qhead = 0;
-    std::size_t qtail = 0;
-    if (router_alive[dst]) {
-      dist[dst] = 0;
-      bfs_queue[qtail++] = static_cast<std::uint32_t>(dst);
+/// Offers waiting at one router's injection port (flit meta words,
+/// oldest first): a power-of-two ring that doubles on demand. It holds
+/// only what the network has not accepted yet, so it stays a few
+/// entries long below saturation.
+class SourceQueue {
+ public:
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] u64 front() const { return buf_[head_]; }
+
+  void pop() {
+    head_ = (head_ + 1) & (buf_.size() - 1);
+    --size_;
+  }
+
+  void push(u64 meta) {
+    if (size_ == buf_.size()) grow();
+    buf_[(head_ + size_) & (buf_.size() - 1)] = meta;
+    ++size_;
+  }
+
+ private:
+  void grow() {
+    std::vector<u64> bigger(buf_.empty() ? 16 : buf_.size() * 2);
+    for (size_t i = 0; i < size_; ++i) {
+      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
     }
-    while (qhead < qtail) {
-      const std::size_t v = bfs_queue[qhead++];
-      for (const std::size_t l : in_channels[v]) {
-        if (!link_alive[l]) continue;
-        const std::size_t u = topology.link(l).src;
-        if (!router_alive[u] || dist[u] != kUnset) continue;
-        dist[u] = dist[v] + 1;
-        bfs_queue[qtail++] = static_cast<std::uint32_t>(u);
+    head_ = 0;
+    buf_.swap(bigger);
+  }
+
+  std::vector<u64> buf_;
+  size_t head_ = 0;
+  size_t size_ = 0;
+};
+
+class EventCore {
+ public:
+  EventCore(const Topology& topology, const Routing& routing,
+            const TrafficPattern& traffic, double injection_rate,
+            const FlitSimConfig& config, const fault::FaultSchedule& faults);
+  FlitSimResult run();
+
+ private:
+  void schedule(u32 r, u64 t) {
+    wheel_[(t & wmask_) * words_ + (r >> 6)] |= u64{1} << (r & 63);
+  }
+  void draw_injections(u64 c);
+  /// Flit at router r has no live next hop toward dstr: drop + record
+  /// the Status once per pair in fault mode, throw otherwise.
+  void drop_unroutable(u32 r, u32 dstr, bool measured, u8 p);
+  template <bool BW1, bool GRID>
+  void turn(u32 r, u64 c);
+  template <bool BW1, bool GRID>
+  void run_cycles();
+  [[nodiscard]] u64 next_work(u64 c) const;
+  void apply_faults_at(u64 cycle);
+  void rebuild_live_ports();
+
+  const Topology& topology_;
+  const TrafficPattern& traffic_;
+  const FlitSimConfig& config_;
+  const fault::FaultSchedule& faults_;
+  size_t modules_ = 0;
+  size_t routers_ = 0;
+  size_t channels_ = 0;
+  u64 delay_ = 0;
+  u64 total_ = 0;
+  u64 measure_begin_ = 0;
+  u64 measure_end_ = 0;
+  u32 depth_ = 0;
+
+  std::vector<bool> dst_used_;
+  PortTable ports_;
+  // Computed next-hop for regular meshes under dimension-order routing:
+  // replaces the O(routers^2) port table with O(routers) state. Faults
+  // rebuild dense tables, so chaos mode always uses ports_.
+  std::optional<MeshGrid> grid_;
+  bool use_grid_ = false;
+  std::vector<std::vector<size_t>> in_channels_;
+  // Flat per-router output arrays: out_off_[r]..out_off_[r+1] indexes
+  // (ring | downstream router << 32) words and the bandwidth template.
+  std::vector<size_t> out_off_;
+  std::vector<u64> out_rd_;
+  std::vector<int> budget_template_;
+  std::vector<int> budget_;  ///< per-turn scratch (bandwidth > 1 only)
+  std::vector<u32> n_inputs_;
+  // All-links-bandwidth-1 fast path: the per-turn budget array becomes
+  // a per-router bitmask of outputs that may still send this cycle.
+  bool bw1_ = false;
+  std::vector<u32> out_mask_;
+  // Ring storage: rings re-indexed so each router's input-channel rings
+  // are contiguous (chin_off_[r]..chin_off_[r+1]), in ascending link
+  // order (the legacy round-robin order). Slot j of ring rid is the
+  // 16-byte record f_[((rid << cap_shift_) + j) * 2] = ready cycle,
+  // [... + 1] = meta.
+  std::vector<size_t> chin_off_;
+  std::vector<u32> ring_of_link_;
+  std::vector<u32> ring_owner_;  ///< ring -> router whose input it is
+  size_t cap_shift_ = 0;
+  u32 cap_mask_ = 0;
+  std::vector<u64> f_;
+  std::vector<u32> qhs_;  ///< head | size << 16
+  std::vector<u64> hr_;   ///< head-ready mirror, kNever when empty
+  /// Cached output port per occupied slot: the port the flit will want
+  /// at the ring's owner (kEject when the owner is its destination).
+  /// Computed once at push time — a blocked head retried every cycle
+  /// costs a byte load instead of a meta decode + port-table walk —
+  /// and refreshed wholesale when a fault rebuild changes the table.
+  std::vector<u8> pp_;
+  // Injection process: drawn for cycles [0, inj_end_) from one RNG,
+  // module by module, into per-router source FIFOs.
+  bool implicit_ = false;
+  std::vector<double> cdf_;  ///< [src * modules + dst], dense patterns
+  size_t guide_k_ = 0;
+  /// guide_[m * K + k] = lower_bound(cdf row m, k / K): where the
+  /// per-hit search starts (dense patterns only).
+  std::vector<u32> guide_;
+  u64 thresh_ = 0;  ///< a raw draw x hits when (x >> 11) < thresh_
+  std::vector<u32> module_router_;
+  Rng rng_;
+  u64 inj_end_ = 0;
+  std::vector<SourceQueue> src_;
+  // Wheel: W_ slots x words_ router bitmaps.
+  std::vector<u64> wheel_;  ///< [slot * words_ + word]
+  size_t words_ = 0;
+  size_t W_ = 0;
+  u64 wmask_ = 0;
+  // Counters.
+  u64 injected_ = 0;
+  u64 delivered_ = 0;
+  u64 latency_ = 0;  ///< exact integer sum; converted to double once
+  u64 unreachable_ = 0;
+  u64 turns_ = 0;
+  std::vector<Status> fails_;
+  // Fault mode.
+  bool chaos_ = false;
+  std::vector<u8> link_alive_;
+  std::vector<u8> router_alive_;
+  std::vector<u8> seen_;
+  size_t fault_pos_ = 0;
+  u64 fault_dropped_ = 0;
+  u64 dead_links_ = 0;
+  u64 dead_routers_ = 0;
+};
+
+EventCore::EventCore(const Topology& topology, const Routing& routing,
+                     const TrafficPattern& traffic, double injection_rate,
+                     const FlitSimConfig& config,
+                     const fault::FaultSchedule& faults)
+    : topology_(topology),
+      traffic_(traffic),
+      config_(config),
+      faults_(faults),
+      rng_(config.seed) {
+  modules_ = topology.module_count();
+  routers_ = topology.router_count();
+  channels_ = topology.link_count();
+  if (traffic.modules() != modules_) {
+    throw std::invalid_argument("simulate_network: traffic mismatch");
+  }
+  const Status delay_ok = validate_router_delay(config.router_delay_cycles);
+  if (!delay_ok.is_ok()) {
+    throw StatusError(Status(delay_ok.code(),
+                             "simulate_network: " + delay_ok.message()));
+  }
+  delay_ = static_cast<u64>(config.router_delay_cycles);
+  total_ = config.warmup_cycles + config.measure_cycles + config.drain_cycles;
+  measure_begin_ = config.warmup_cycles;
+  measure_end_ = config.warmup_cycles + config.measure_cycles;
+  if (routers_ >= (size_t{1} << kDstBits) ||
+      total_ + delay_ >= (u64{1} << kCycBits) ||
+      config.buffer_depth >= (size_t{1} << 16)) {
+    throw StatusError(Status(
+        StatusCode::kInvalidSpec,
+        "simulate_network: config exceeds the packed flit record (needs "
+        "routers < 2^26, warmup+measure+drain+delay < 2^37, buffer depth "
+        "< 2^16)"));
+  }
+  depth_ = static_cast<u32>(config.buffer_depth);
+
+  chaos_ = !faults.events.empty();
+
+  // --- traffic cdf + used destinations (the sampler clamps to the last
+  // module, so its router is routable). Implicit patterns never build
+  // the O(modules^2) CDF: destinations come from the closed-form
+  // sampler, and any router may be a target.
+  implicit_ = traffic.implicit_form();
+  dst_used_.assign(routers_, implicit_);
+  if (!implicit_) {
+    cdf_.resize(modules_ * modules_);
+    for (size_t s = 0; s < modules_; ++s) {
+      double acc = 0.0;
+      for (size_t d = 0; d < modules_; ++d) {
+        const double p = traffic.probability(s, d);
+        acc += p;
+        cdf_[s * modules_ + d] = acc;
+        if (p > 0.0) dst_used_[topology.module_router(d)] = true;
       }
     }
-    for (std::size_t at = 0; at < routers; ++at) {
+    if (modules_ > 0) dst_used_[topology.module_router(modules_ - 1)] = true;
+  }
+  module_router_.resize(modules_);
+  for (size_t d = 0; d < modules_; ++d) {
+    module_router_[d] = static_cast<u32>(topology.module_router(d));
+  }
+
+  // --- next-hop state. A regular mesh under dimension-order routing
+  // gets the computed O(routers) grid (the port it yields is the dense
+  // table's port bit for bit — see MeshGrid — so results are unchanged);
+  // anything else, and fault mode (which rewrites tables per failure),
+  // keeps the dense O(routers^2) port table.
+  if (!chaos_ &&
+      dynamic_cast<const DimensionOrderRouting*>(&routing) != nullptr) {
+    grid_ = MeshGrid::analyze(topology);
+  }
+  use_grid_ = grid_.has_value();
+  if (!use_grid_) {
+    ports_ = build_port_table(topology, routing, dst_used_);
+  }
+
+  // --- flat output arrays + input-channel lists.
+  in_channels_.assign(routers_, {});
+  for (size_t l = 0; l < channels_; ++l) {
+    in_channels_[topology.link(l).dst].push_back(l);
+  }
+  out_off_.assign(routers_ + 1, 0);
+  for (size_t r = 0; r < routers_; ++r) {
+    out_off_[r + 1] = out_off_[r] + topology.out_links(r).size();
+  }
+  std::vector<u32> out_link(out_off_[routers_]);
+  out_rd_.resize(out_off_[routers_]);
+  budget_template_.resize(out_off_[routers_]);
+  size_t max_outs = 0;
+  for (size_t r = 0; r < routers_; ++r) {
+    const auto& outs = topology.out_links(r);
+    max_outs = std::max(max_outs, outs.size());
+    for (size_t i = 0; i < outs.size(); ++i) {
+      const size_t l = outs[i];
+      out_link[out_off_[r] + i] = static_cast<u32>(l);
+      out_rd_[out_off_[r] + i] = static_cast<u64>(topology.link(l).dst) << 32;
+      const int b = static_cast<int>(topology.link(l).bandwidth);
+      budget_template_[out_off_[r] + i] = b < 1 ? 1 : b;
+    }
+  }
+  budget_.resize(max_outs);
+  bw1_ = max_outs <= 32;
+  for (const int b : budget_template_) bw1_ = bw1_ && b == 1;
+  if (bw1_) {
+    out_mask_.assign(routers_, 0);
+    for (size_t r = 0; r < routers_; ++r) {
+      const size_t n_outs = out_off_[r + 1] - out_off_[r];
+      out_mask_[r] = n_outs >= 32 ? ~u32{0} : (u32{1} << n_outs) - 1;
+    }
+  }
+
+  // --- ring storage, re-indexed so a router's input rings are
+  // contiguous.
+  size_t cap = 1;
+  while (cap < std::max<size_t>(depth_, 1)) cap <<= 1;
+  cap_shift_ = static_cast<size_t>(std::countr_zero(cap));
+  cap_mask_ = static_cast<u32>(cap - 1);
+  chin_off_.assign(routers_ + 1, 0);
+  ring_of_link_.assign(channels_, 0);
+  ring_owner_.assign(channels_, 0);
+  n_inputs_.assign(routers_, 1);
+  {
+    size_t rid = 0;
+    for (size_t r = 0; r < routers_; ++r) {
+      chin_off_[r] = rid;
+      for (const size_t l : in_channels_[r]) {
+        ring_owner_[rid] = static_cast<u32>(r);
+        ring_of_link_[l] = static_cast<u32>(rid++);
+      }
+      n_inputs_[r] = static_cast<u32>(1 + in_channels_[r].size());
+    }
+    chin_off_[routers_] = rid;
+  }
+  for (size_t i = 0; i < out_rd_.size(); ++i) {
+    out_rd_[i] |= ring_of_link_[out_link[i]];
+  }
+  f_.assign((channels_ << cap_shift_) * 2, 0);
+  qhs_.assign(channels_, 0);
+  hr_.assign(channels_, kNever);
+  pp_.assign(channels_ << cap_shift_, kNoPort);
+
+  // --- wheel geometry: wakes span [c, c + delay], so delay + 2
+  // power-of-two slots are unambiguous.
+  W_ = 1;
+  while (W_ < static_cast<size_t>(delay_) + 2) W_ <<= 1;
+  wmask_ = W_ - 1;
+  words_ = (routers_ + 63) / 64;
+  wheel_.assign(W_ * words_, 0);
+
+  // --- injection process. Guide table for dense patterns: the search
+  // resumes near where lower_bound would land, and the guard loops in
+  // draw_injections re-run the legacy comparisons (row[d] < u), so the
+  // sampled destination is bit-identical even at bucket-boundary
+  // roundoff.
+  guide_k_ = implicit_ ? 0 : modules_;
+  guide_.resize(modules_ * guide_k_);
+  const double kd = static_cast<double>(guide_k_);
+  for (size_t m = 0; m < modules_ && !implicit_; ++m) {
+    const double* row = &cdf_[m * modules_];
+    size_t i = 0;
+    for (size_t k = 0; k < guide_k_; ++k) {
+      const double lo = static_cast<double>(k) / kd;
+      while (i < modules_ && row[i] < lo) ++i;
+      guide_[m * guide_k_ + k] = static_cast<u32>(i);
+    }
+  }
+  // bernoulli(p) draws one generator step x and tests
+  // (x >> 11) * 2^-53 < p; the power-of-two product is exact, so the
+  // test is equivalently (x >> 11) < ceil(p * 2^53) in pure integer
+  // space — the branch no longer waits on an int->double conversion.
+  thresh_ = !(injection_rate > 0.0)
+                ? 0
+                : injection_rate >= 1.0
+                      ? (u64{1} << 53)
+                      : static_cast<u64>(std::ceil(injection_rate * 0x1.0p53));
+  // A zero rate never hits, so there is nothing to draw.
+  inj_end_ = thresh_ == 0 ? 0 : std::min(measure_end_, total_);
+  src_.resize(routers_);
+
+  // --- fault mode: alive maps and per-pair failure dedup.
+  if (chaos_) {
+    link_alive_.assign(channels_, 1);
+    router_alive_.assign(routers_, 1);
+    seen_.assign(routers_ * routers_, 0);
+  }
+}
+
+void EventCore::draw_injections(const u64 c) {
+  // Every cycle drawn is below measure_end_, so only the lower bound
+  // decides whether the offer is measured.
+  const u64 mbit = c >= measure_begin_ ? u64{1} << 63 : 0;
+  const size_t modules = modules_;
+  const size_t K = guide_k_;
+  const double kd = static_cast<double>(K);
+  const u64 thresh = thresh_;
+  Rng rng = rng_;
+  for (size_t m = 0; m < modules; ++m) {
+    // One generator step per module, exactly like the legacy loop's
+    // rng.bernoulli; on a hit the dense path draws one uniform for its
+    // CDF search and the implicit path hands the RNG to the pattern's
+    // closed-form sampler.
+    const u64 x = rng.raw();
+    if ((x >> 11) >= thresh) continue;
+    size_t d;
+    if (implicit_) {
+      d = traffic_.sample(rng, m);
+    } else {
+      const double u = rng.uniform();
+      const double* row = &cdf_[m * modules];
+      size_t k = static_cast<size_t>(u * kd);
+      if (k >= K) k = K - 1;
+      d = guide_[m * K + k];
+      while (d > 0 && row[d - 1] >= u) --d;
+      while (d < modules && row[d] < u) ++d;
+      if (d >= modules) d = modules - 1;
+    }
+    const u32 r = module_router_[m];
+    if (chaos_ && !router_alive_[r]) {
+      // Dead source router: the module offered a packet the network
+      // never accepted. Both draws above still happened, so the
+      // traffic sequence matches the fault-free run.
+      if (mbit) {
+        ++injected_;
+        ++fault_dropped_;
+      }
+      continue;
+    }
+    if (mbit) ++injected_;
+    src_[r].push(c | (static_cast<u64>(module_router_[d]) << kCycBits) |
+                 mbit);
+    schedule(r, c);
+  }
+  rng_ = rng;
+}
+
+void EventCore::drop_unroutable(const u32 r, const u32 dstr,
+                                const bool measured, const u8 p) {
+  const size_t key = static_cast<size_t>(r) * routers_ + dstr;
+  if (chaos_ && p == kFailedPort) {
+    // Destination cut off by a fault: drop, surface the Status once
+    // per (source, destination) pair, never throw. Turns run in
+    // (cycle, router) order, the legacy encounter order.
+    if (measured) ++unreachable_;
+    if (!seen_[key]) {
+      seen_[key] = 1;
+      if (fails_.size() < kMaxRouteFailures) {
+        fails_.push_back(ports_.failures.at(key));
+      }
+    }
+    return;
+  }
+  if (p == kFailedPort) throw StatusError(ports_.failures.at(key));
+  throw StatusError(Status(
+      StatusCode::kExecutionError,
+      "simulate_network: no precomputed next hop for router " +
+          std::to_string(r) + " -> " + std::to_string(dstr)));
+}
+
+template <bool BW1, bool GRID>
+void EventCore::turn(const u32 r, const u64 c) {
+  ++turns_;
+  // Hoist the hot arrays (and the scalars the loop re-derives indices
+  // from) into locals: stores through raw element pointers cannot alias
+  // the vector control blocks or `this`, so the compiler keeps every
+  // base address in a register across the loop instead of reloading it
+  // after each store.
+  u64* const f = f_.data();
+  u32* const qhs = qhs_.data();
+  u64* const hr = hr_.data();
+  u8* const pp = pp_.data();
+  u64* const wheel = wheel_.data();
+  const u64 wmask = wmask_;
+  const size_t words = words_;
+  const u64* const ord = out_rd_.data();
+  // GRID mode computes the next-hop port from packed coordinates; the
+  // dense table is never allocated then.
+  const u8* const pt = ports_.port.data();
+  const MeshGrid* const grid = GRID ? &*grid_ : nullptr;
+  const size_t csh = cap_shift_;
+  const u32 cmask = cap_mask_;
+  const u32 dep = depth_;
+  const u64 del = delay_;
+  const size_t nrouters = routers_;
+  const bool chaos = chaos_;
+  const size_t ob = out_off_[r];
+  u32 obud = 0;
+  int* bud = nullptr;
+  if constexpr (BW1) {
+    obud = out_mask_[r];
+  } else {
+    bud = budget_.data();
+    const size_t n_outs = out_off_[r + 1] - ob;
+    if (n_outs > 0) {
+      std::memcpy(bud, &budget_template_[ob], n_outs * sizeof(int));
+    }
+  }
+  int eject_budget = 1;
+  const u32 n_in = n_inputs_[r];
+  const u32 start = fast_mod(c, n_in);
+  const u8* prow = GRID ? nullptr : pt + static_cast<size_t>(r) * nrouters;
+  const size_t cb = chin_off_[r];
+  const size_t ce = chin_off_[r + 1];
+
+  /// Append flit record m to the ring named by rd (= ring | owner
+  /// router << 32) whose pre-checked cursor word is hs2. The caller has
+  /// already consumed budget and verified the ring has room. Caches the
+  /// output port the flit will want at the receiving router and wakes
+  /// that router when the flit becomes ready.
+  const auto push_flit = [&](u64 rd, u32 hs2, u64 m) {
+    const u32 drid = static_cast<u32>(rd);
+    qhs[drid] = hs2 + 0x10000;
+    const size_t si = (static_cast<size_t>(drid) << csh) +
+                      (((hs2 & 0xFFFFu) + (hs2 >> 16)) & cmask);
+    const u64 ready = c + del;
+    f[si * 2] = ready;
+    f[si * 2 + 1] = m;
+    const u32 owner = static_cast<u32>(rd >> 32);
+    const u32 fdst = static_cast<u32>(m >> kCycBits) & kDstMask;
+    if constexpr (GRID) {
+      pp[si] = fdst == owner ? kEject : grid->next_port(owner, fdst);
+    } else {
+      pp[si] = fdst == owner
+                   ? kEject
+                   : pt[static_cast<size_t>(owner) * nrouters + fdst];
+    }
+    if (!(hs2 >> 16)) hr[drid] = ready;
+    wheel[(ready & wmask) * words + (owner >> 6)] |= u64{1} << (owner & 63);
+  };
+
+  // One round-robin pass = rings [start-1, n_in-1), the injection
+  // queue, then rings [0, start-1) — i.e. the rotation start, start+1,
+  // ..., n_in-1, 0, 1, ..., start-1 with the injection queue at
+  // rotational position 0. `open` goes false once every output budget
+  // and the eject budget are spent: no later input can move anything,
+  // so the rest of the pass is skipped (only valid in clean mode — a
+  // fault-era head with a dead route is consumed without budget, so
+  // those passes run to the end).
+  bool open = true;
+  const auto drain_rings = [&](size_t lo, size_t hi) {
+    for (size_t base = lo; base < hi && open; base += 64) {
+      // Branchless ready-set gather: hr_ for this router's rings is
+      // contiguous, so the readiness tests issue in parallel instead of
+      // serialising one dependent-load chain per ring.
+      const size_t n = std::min<size_t>(hi - base, 64);
+      u64 rmask = 0;
+      for (size_t j = 0; j < n; ++j) {
+        rmask |= static_cast<u64>(hr[base + j] <= c) << j;
+      }
+      while (rmask) {
+        const size_t rid = base + static_cast<size_t>(std::countr_zero(rmask));
+        rmask &= rmask - 1;
+        for (;;) {
+          const u32 hs = qhs[rid];
+          const size_t si = (rid << csh) + (hs & 0xFFFFu);
+          const u8 p = pp[si];
+          if (p < kEject) {
+            if constexpr (BW1) {
+              if (!((obud >> p) & 1u)) break;
+            } else {
+              if (bud[p] <= 0) break;
+            }
+            const u64 rd = ord[ob + p];
+            const u32 hs2 = qhs[static_cast<u32>(rd)];
+            if ((hs2 >> 16) >= dep) break;
+            if constexpr (BW1) {
+              obud &= ~(u32{1} << p);
+            } else {
+              --bud[p];
+            }
+            push_flit(rd, hs2, f[si * 2 + 1]);
+          } else if (p == kEject) {
+            if (eject_budget <= 0) break;
+            --eject_budget;
+            const u64 m = f[si * 2 + 1];
+            if (m >> 63) {
+              ++delivered_;
+              latency_ += c + del - (m & kCycMask);
+            }
+          } else [[unlikely]] {
+            const u64 m = f[si * 2 + 1];
+            drop_unroutable(r, static_cast<u32>(m >> kCycBits) & kDstMask,
+                            (m >> 63) != 0, p);
+          }
+          // pop
+          const u32 nh = ((hs & 0xFFFFu) + 1) & cmask;
+          const u32 size = (hs >> 16) - 1;
+          qhs[rid] = nh | (size << 16);
+          if (!size) {
+            hr[rid] = kNever;
+            break;
+          }
+          const u64 nr = f[((rid << csh) + nh) * 2];
+          hr[rid] = nr;
+          if (nr > c) break;
+        }
+        if constexpr (BW1) {
+          if (!chaos && obud == 0 && eject_budget <= 0) {
+            open = false;
+            break;
+          }
+        }
+      }
+    }
+  };
+  /// Offer the source-queue record m (destination dstr). Returns false
+  /// when the source must stall; consumes the record otherwise (pushed,
+  /// or dropped unreachable in fault mode).
+  const auto try_inject = [&](u32 dstr, u64 m) -> bool {
+    const u8 p = GRID ? grid->next_port(r, dstr) : prow[dstr];
+    if constexpr (!GRID) {
+      // A full regular mesh always routes, so only the dense table can
+      // hold failed/unused markers.
+      if (p >= kFailedPort) {
+        drop_unroutable(r, dstr, (m >> 63) != 0, p);
+        return true;
+      }
+    }
+    if constexpr (BW1) {
+      if (!((obud >> p) & 1u)) return false;
+    } else {
+      if (bud[p] <= 0) return false;
+    }
+    const u64 rd = ord[ob + p];
+    const u32 hs2 = qhs[static_cast<u32>(rd)];
+    if ((hs2 >> 16) >= dep) return false;
+    if constexpr (BW1) {
+      obud &= ~(u32{1} << p);
+    } else {
+      --bud[p];
+    }
+    push_flit(rd, hs2, m);
+    return true;
+  };
+  SourceQueue& source = src_[r];
+  const auto drain_injection = [&] {
+    if (!open) return;
+    while (!source.empty()) {
+      const u64 e = source.front();
+      const u32 dstr = static_cast<u32>(e >> kCycBits) & kDstMask;
+      if (dstr == r) {
+        if (eject_budget <= 0) break;
+        --eject_budget;
+        if (e >> 63) {
+          ++delivered_;
+          latency_ += c + del - (e & kCycMask);
+        }
+      } else if (!try_inject(dstr, e)) {
+        break;
+      }
+      source.pop();
+    }
+  };
+  if (start == 0) {
+    drain_injection();
+    drain_rings(cb, ce);
+  } else {
+    drain_rings(cb + start - 1, ce);
+    drain_injection();
+    drain_rings(cb, cb + start - 1);
+  }
+
+  // End-of-turn retry: an offer still queued or a ready head still in
+  // its ring was blocked, so it polls next cycle. Heads that become
+  // ready later already hold the wake their push scheduled.
+  bool retry = !source.empty();
+  for (size_t rid = cb; rid < ce && !retry; ++rid) retry = hr[rid] <= c;
+  if (retry) {
+    const u64 t = c + 1;
+    wheel[(t & wmask) * words + (r >> 6)] |= u64{1} << (r & 63);
+  }
+}
+
+u64 EventCore::next_work(const u64 c) const {
+  // Events due at or before a visited cycle were applied then, so the
+  // next one is due at c or later.
+  u64 t = total_;
+  if (chaos_ && fault_pos_ < faults_.events.size()) {
+    t = std::min<u64>(t, faults_.events[fault_pos_].at_cycle);
+  }
+  // Every live bit's cycle is the first occurrence of its slot at or
+  // after c (the wake-horizon invariant), so the earliest non-empty
+  // slot offset is the next cycle with a due router.
+  for (size_t off = 0; off < W_ && c + off < t; ++off) {
+    const u64* slot = &wheel_[((c + off) & wmask_) * words_];
+    for (size_t w = 0; w < words_; ++w) {
+      if (slot[w]) return c + off;
+    }
+  }
+  return t;
+}
+
+template <bool BW1, bool GRID>
+void EventCore::run_cycles() {
+  u64 c = 0;
+  while (c < total_) {
+    // Legacy cycle order: fault activations, then injection, then
+    // switch allocation in ascending router order.
+    if (chaos_ && fault_pos_ < faults_.events.size() &&
+        faults_.events[fault_pos_].at_cycle <= c) {
+      apply_faults_at(c);
+    }
+    if (c < inj_end_) draw_injections(c);
+    u64* slot = &wheel_[(c & wmask_) * words_];
+    for (size_t w = 0; w < words_; ++w) {
+      u64 bits = slot[w];
+      if (!bits) continue;
+      slot[w] = 0;
+      const u32 rbase = static_cast<u32>(w << 6);
+      do {
+        const u32 r = rbase + static_cast<u32>(std::countr_zero(bits));
+        bits &= bits - 1;
+        turn<BW1, GRID>(r, c);
+      } while (bits);
+    }
+    ++c;
+    // Below inj_end_ every cycle draws; past it, jump to the next cycle
+    // with a due router or a fault activation.
+    if (c >= inj_end_) c = next_work(c);
+  }
+}
+
+void EventCore::apply_faults_at(const u64 cycle) {
+  bool changed = false;
+  const auto kill_link = [&](size_t l) {
+    if (!link_alive_[l]) return;
+    link_alive_[l] = 0;
+    ++dead_links_;
+    const size_t rid = ring_of_link_[l];
+    const size_t base = (rid << cap_shift_) << 1;
+    const u32 hs = qhs_[rid];
+    for (u32 i = 0; i < (hs >> 16); ++i) {
+      const size_t j = ((hs & 0xFFFFu) + i) & cap_mask_;
+      if (f_[base + j * 2 + 1] >> 63) ++fault_dropped_;
+    }
+    qhs_[rid] = 0;
+    hr_[rid] = kNever;
+    changed = true;
+  };
+  while (fault_pos_ < faults_.events.size() &&
+         faults_.events[fault_pos_].at_cycle <= cycle) {
+    const fault::FaultEvent& event = faults_.events[fault_pos_++];
+    if (event.kind == fault::FaultEvent::Kind::kLink) {
+      if (event.index < channels_) kill_link(event.index);
+      continue;
+    }
+    const size_t r = event.index;
+    if (r >= routers_ || !router_alive_[r]) continue;
+    router_alive_[r] = 0;
+    ++dead_routers_;
+    // Out-link queues buffer at the downstream routers and drain
+    // normally; the links themselves carry nothing further.
+    for (const size_t l : topology_.out_links(r)) {
+      if (link_alive_[l]) {
+        link_alive_[l] = 0;
+        ++dead_links_;
+      }
+    }
+    for (const size_t l : in_channels_[r]) kill_link(l);
+    // Queued offers die with the router; later ones are counted as
+    // dropped when they are drawn.
+    SourceQueue& source = src_[r];
+    while (!source.empty()) {
+      if (source.front() >> 63) ++fault_dropped_;
+      source.pop();
+    }
+    changed = true;
+  }
+  if (changed) rebuild_live_ports();
+}
+
+/// Port-table flavour of the legacy rebuild_live_routes: one reverse
+/// BFS per used destination over the surviving graph, minimal hops,
+/// ties broken by out-link order. Identical Status rows.
+void EventCore::rebuild_live_ports() {
+  std::vector<u32> dist(routers_);
+  std::vector<u32> bfs_queue(routers_);
+  constexpr u32 kUnset = 0xFFFFFFFFu;
+  for (size_t dst = 0; dst < routers_; ++dst) {
+    if (!dst_used_[dst]) continue;
+    std::fill(dist.begin(), dist.end(), kUnset);
+    size_t qhead = 0;
+    size_t qtail = 0;
+    if (router_alive_[dst]) {
+      dist[dst] = 0;
+      bfs_queue[qtail++] = static_cast<u32>(dst);
+    }
+    while (qhead < qtail) {
+      const size_t v = bfs_queue[qhead++];
+      for (const size_t l : in_channels_[v]) {
+        if (!link_alive_[l]) continue;
+        const size_t u = topology_.link(l).src;
+        if (!router_alive_[u] || dist[u] != kUnset) continue;
+        dist[u] = dist[v] + 1;
+        bfs_queue[qtail++] = static_cast<u32>(u);
+      }
+    }
+    for (size_t at = 0; at < routers_; ++at) {
       if (at == dst) continue;
-      const std::size_t key = at * routers + dst;
-      NextHop& hop = table.hops[key];
-      if (!router_alive[at]) {
-        // Dead sources never forward; leave a failed entry so a stale
-        // lookup is caught rather than followed.
-        hop.link = kFailedHop;
-        table.failures[key] =
+      const size_t key = at * routers_ + dst;
+      if (!router_alive_[at]) {
+        ports_.port[key] = kFailedPort;
+        ports_.failures[key] =
             Status(StatusCode::kUnreachableRoute,
                    "simulate_network: router " + std::to_string(at) +
                        " failed");
         continue;
       }
       if (dist[at] == kUnset) {
-        hop.link = kFailedHop;
-        table.failures[key] =
+        ports_.port[key] = kFailedPort;
+        ports_.failures[key] =
             Status(StatusCode::kUnreachableRoute,
                    "simulate_network: no live route from router " +
                        std::to_string(at) + " to router " +
                        std::to_string(dst) +
-                       (router_alive[dst] ? " after link/router failures"
-                                          : " (destination router failed)"));
+                       (router_alive_[dst] ? " after link/router failures"
+                                           : " (destination router failed)"));
         continue;
       }
-      const auto& outs = topology.out_links(at);
-      for (std::size_t oi = 0; oi < outs.size(); ++oi) {
-        const std::size_t l = outs[oi];
-        if (!link_alive[l]) continue;
-        const std::size_t w = topology.link(l).dst;
-        if (!router_alive[w] || dist[w] == kUnset) continue;
+      const auto& outs = topology_.out_links(at);
+      for (size_t oi = 0; oi < outs.size(); ++oi) {
+        const size_t l = outs[oi];
+        if (!link_alive_[l]) continue;
+        const size_t w = topology_.link(l).dst;
+        if (!router_alive_[w] || dist[w] == kUnset) continue;
         if (dist[w] + 1 != dist[at]) continue;
-        hop.link = static_cast<std::uint32_t>(l);
-        hop.out_index = static_cast<std::uint32_t>(oi);
+        ports_.port[key] = static_cast<u8>(oi);
         break;
       }
     }
   }
+  // The table changed under the in-flight flits: refresh every occupied
+  // slot's cached port (rings emptied by the kill pass have size 0).
+  for (size_t rid = 0; rid < channels_; ++rid) {
+    const u32 hs = qhs_[rid];
+    const u32 size = hs >> 16;
+    if (!size) continue;
+    const u32 owner = ring_owner_[rid];
+    for (u32 i = 0; i < size; ++i) {
+      const size_t si =
+          (rid << cap_shift_) + (((hs & 0xFFFFu) + i) & cap_mask_);
+      const u32 dstr = static_cast<u32>(f_[si * 2 + 1] >> kCycBits) & kDstMask;
+      pp_[si] = dstr == owner
+                    ? kEject
+                    : ports_.port[static_cast<size_t>(owner) * routers_ + dstr];
+    }
+  }
+}
+
+FlitSimResult EventCore::run() {
+  if (total_ > 0 && routers_ > 0) {
+    if (bw1_) {
+      if (use_grid_) {
+        run_cycles<true, true>();
+      } else {
+        run_cycles<true, false>();
+      }
+    } else if (use_grid_) {
+      run_cycles<false, true>();
+    } else {
+      run_cycles<false, false>();
+    }
+  }
+
+  FlitSimResult result;
+  result.route_failures = std::move(fails_);
+  result.delivered = static_cast<size_t>(delivered_);
+  result.injected = static_cast<size_t>(injected_);
+  result.dropped = static_cast<size_t>(fault_dropped_);
+  result.unreachable = static_cast<size_t>(unreachable_);
+  result.dead_links = static_cast<size_t>(dead_links_);
+  result.dead_routers = static_cast<size_t>(dead_routers_);
+  result.turns_executed = turns_;
+  result.mean_latency_cycles =
+      delivered_ == 0
+          ? 0.0
+          : static_cast<double>(latency_) / static_cast<double>(delivered_);
+  result.delivered_per_cycle =
+      static_cast<double>(delivered_) /
+      (static_cast<double>(config_.measure_cycles) *
+       static_cast<double>(modules_));
+  // Stability: everything measured was eventually resolved (delivered,
+  // or — in fault mode — terminally dropped; losses are accounted, not
+  // stuck in a queue).
+  result.stable = result.delivered + result.dropped + result.unreachable >=
+                  result.injected * 995 / 1000;
+  return result;
 }
 
 }  // namespace
+
+Status validate_router_delay(const double cycles) {
+  if (cycles >= 1.0 && cycles <= kMaxRouterDelayCycles &&
+      cycles == std::floor(cycles)) {
+    return Status::ok();
+  }
+  char message[96];
+  std::snprintf(message, sizeof(message),
+                "router_delay_cycles must be a whole number of cycles in "
+                "[1, %g], got %g",
+                kMaxRouterDelayCycles, cycles);
+  return Status(StatusCode::kInvalidSpec, message);
+}
 
 FlitSimResult simulate_network(const Topology& topology,
                                const Routing& routing,
@@ -266,385 +1011,8 @@ FlitSimResult simulate_network(const Topology& topology,
                                double injection_rate,
                                const FlitSimConfig& config,
                                const fault::FaultSchedule& faults) {
-  // The event wheel bounds wake horizons by the (integer) pipeline
-  // delay; a sub-cycle delay would allow same-cycle wakes, so those
-  // configs stay on the cycle-stepped loop. The event core additionally
-  // packs flit records into 16 bytes (inject cycle | dst << 37 |
-  // measured << 63) and queue cursors into head | size << 16, which
-  // caps it at 2^26 routers, 2^37 total cycles, and 2^16-1 buffer
-  // depth; kAuto falls back to the legacy loop beyond those (kEvent
-  // throws from the core's constructor).
-  const std::uint64_t delay =
-      static_cast<std::uint64_t>(config.router_delay_cycles);
-  const std::uint64_t total = static_cast<std::uint64_t>(
-      config.warmup_cycles + config.measure_cycles + config.drain_cycles);
-  const bool event_ok =
-      delay >= 1 && topology.router_count() < (std::size_t{1} << 26) &&
-      total + delay < (std::uint64_t{1} << 37) &&
-      config.buffer_depth < (std::size_t{1} << 16);
-  switch (config.core) {
-    case FlitSimCore::kLegacy:
-      return detail::simulate_network_legacy(topology, routing, traffic,
-                                             injection_rate, config, faults);
-    case FlitSimCore::kEvent:
-      if (delay < 1) {
-        throw std::invalid_argument(
-            "simulate_network: the event core requires "
-            "router_delay_cycles >= 1");
-      }
-      return detail::simulate_network_event(topology, routing, traffic,
-                                            injection_rate, config, faults);
-    case FlitSimCore::kAuto:
-      break;
-  }
-  if (event_ok) {
-    return detail::simulate_network_event(topology, routing, traffic,
-                                          injection_rate, config, faults);
-  }
-  return detail::simulate_network_legacy(topology, routing, traffic,
-                                         injection_rate, config, faults);
+  EventCore core(topology, routing, traffic, injection_rate, config, faults);
+  return core.run();
 }
-
-namespace detail {
-
-FlitSimResult simulate_network_legacy(const Topology& topology,
-                                      const Routing& routing,
-                                      const TrafficPattern& traffic,
-                                      double injection_rate,
-                                      const FlitSimConfig& config,
-                                      const fault::FaultSchedule& faults) {
-  const std::size_t modules = topology.module_count();
-  const std::size_t routers = topology.router_count();
-  const std::size_t channels = topology.link_count();
-  if (traffic.modules() != modules) {
-    throw std::invalid_argument("simulate_network: traffic mismatch");
-  }
-
-  // Per-destination cumulative distribution per source (flat row-major)
-  // for fast sampling, plus the set of destination routers any flit can
-  // ever target (only those routes are precomputed). Implicit patterns
-  // skip the O(modules^2) CDF entirely and draw destinations in closed
-  // form; any router may then be a destination. (This legacy oracle
-  // still keeps its dense next-hop table either way — the event core is
-  // the O(routers)-memory path for big meshes.)
-  const bool implicit = traffic.implicit_form();
-  std::vector<double> cdf;
-  std::vector<bool> dst_used(routers, implicit);
-  if (!implicit) {
-    cdf.resize(modules * modules);
-    for (std::size_t s = 0; s < modules; ++s) {
-      double acc = 0.0;
-      for (std::size_t d = 0; d < modules; ++d) {
-        const double p = traffic.probability(s, d);
-        acc += p;
-        cdf[s * modules + d] = acc;
-        if (p > 0.0) dst_used[topology.module_router(d)] = true;
-      }
-    }
-    // The sampler clamps to the last module when u exceeds the row total
-    // (floating-point shortfall), so its router must be routable too.
-    if (modules > 0) dst_used[topology.module_router(modules - 1)] = true;
-  }
-
-  std::vector<std::size_t> module_router(modules);
-  for (std::size_t d = 0; d < modules; ++d) {
-    module_router[d] = topology.module_router(d);
-  }
-
-  NextHopTable next_hop = build_next_hop_table(topology, routing, dst_used);
-
-  // Flat link -> destination-router lookup for the forwarding hot path.
-  std::vector<std::uint32_t> link_dst(channels);
-  for (std::size_t l = 0; l < channels; ++l) {
-    link_dst[l] = static_cast<std::uint32_t>(topology.link(l).dst);
-  }
-
-  // Preallocated FIFOs in one flat array — rings[0..channels) are the
-  // channel queues (bounded by the buffer depth), rings[channels + r] is
-  // router r's injection queue (starts small, doubles as needed).
-  std::vector<FlitRing> rings(channels + routers);
-  for (std::size_t l = 0; l < channels; ++l) {
-    rings[l].reserve_pow2(std::min<std::size_t>(config.buffer_depth, 1024));
-  }
-  for (std::size_t r = 0; r < routers; ++r) {
-    rings[channels + r].reserve_pow2(16);
-  }
-  std::vector<std::size_t> rr_state(routers, 0);  // round-robin pointer
-  // Queued-flit count per router (injection + incoming channels): lets
-  // the switch-allocation loop skip idle routers in O(1).
-  std::vector<std::uint32_t> occupancy(routers, 0);
-
-  // Flat per-router input-ring list: slot 0 is the injection queue,
-  // then the incoming channels in link order (the same round-robin
-  // order as scanning a per-router channel list).
-  std::vector<std::vector<std::size_t>> in_channels(routers);
-  for (std::size_t l = 0; l < channels; ++l) {
-    in_channels[topology.link(l).dst].push_back(l);
-  }
-  std::vector<std::uint32_t> input_ids;
-  input_ids.reserve(routers + channels);
-  std::vector<std::size_t> input_offset(routers + 1, 0);
-  for (std::size_t r = 0; r < routers; ++r) {
-    input_offset[r] = input_ids.size();
-    input_ids.push_back(static_cast<std::uint32_t>(channels + r));
-    for (const std::size_t l : in_channels[r]) {
-      input_ids.push_back(static_cast<std::uint32_t>(l));
-    }
-  }
-  input_offset[routers] = input_ids.size();
-
-  // Fault-mode state. `chaos` gates every injection point: with an
-  // empty schedule none of this is touched and the cycle loop below is
-  // the exact legacy path (same RNG draws, same arbitration order).
-  const bool chaos = !faults.events.empty();
-  std::vector<std::uint8_t> link_alive;
-  std::vector<std::uint8_t> router_alive;
-  std::vector<bool> route_failure_seen;
-  if (chaos) {
-    link_alive.assign(channels, 1);
-    router_alive.assign(routers, 1);
-    route_failure_seen.assign(routers * routers, false);
-  }
-  std::size_t next_event = 0;
-  constexpr std::size_t kMaxRouteFailures = 8;
-
-  // Per-output-channel bandwidth budgets, hoisted out of the cycle loop:
-  // one flat template refreshed into a scratch buffer per busy router.
-  std::vector<std::size_t> budget_offset(routers + 1, 0);
-  for (std::size_t r = 0; r < routers; ++r) {
-    budget_offset[r + 1] = budget_offset[r] + topology.out_links(r).size();
-  }
-  std::vector<int> budget_template(budget_offset[routers]);
-  std::size_t max_outs = 0;
-  for (std::size_t r = 0; r < routers; ++r) {
-    const auto& outs = topology.out_links(r);
-    max_outs = std::max(max_outs, outs.size());
-    for (std::size_t i = 0; i < outs.size(); ++i) {
-      const int b = static_cast<int>(topology.link(outs[i]).bandwidth);
-      budget_template[budget_offset[r] + i] = b < 1 ? 1 : b;
-    }
-  }
-  std::vector<int> budget(max_outs);
-
-  Rng rng(config.seed);
-  FlitSimResult result;
-  double latency_sum = 0.0;
-
-  const std::uint64_t total_cycles = config.warmup_cycles +
-                                     config.measure_cycles +
-                                     config.drain_cycles;
-  const std::uint64_t measure_begin = config.warmup_cycles;
-  const std::uint64_t measure_end =
-      config.warmup_cycles + config.measure_cycles;
-
-  for (std::uint64_t cycle = 0; cycle < total_cycles; ++cycle) {
-    const bool in_window = cycle >= measure_begin && cycle < measure_end;
-    // 0. Fault activation: kill due entities, destroy their buffered
-    //    flits, then recompute routes over the surviving graph.
-    if (chaos && next_event < faults.events.size() &&
-        faults.events[next_event].at_cycle <= cycle) {
-      bool changed = false;
-      const auto kill_link = [&](std::size_t l) {
-        if (!link_alive[l]) return;
-        link_alive[l] = 0;
-        ++result.dead_links;
-        // The channel ring is the input buffer the link feeds at its
-        // downstream router: everything queued there dies with it.
-        FlitRing& ring = rings[l];
-        const std::size_t owner = link_dst[l];
-        while (!ring.empty()) {
-          if (ring.front().measured) ++result.dropped;
-          ring.pop_front();
-          --occupancy[owner];
-        }
-        changed = true;
-      };
-      while (next_event < faults.events.size() &&
-             faults.events[next_event].at_cycle <= cycle) {
-        const fault::FaultEvent& event = faults.events[next_event++];
-        if (event.kind == fault::FaultEvent::Kind::kLink) {
-          if (event.index < channels) kill_link(event.index);
-          continue;
-        }
-        const std::size_t r = event.index;
-        if (r >= routers || !router_alive[r]) continue;
-        router_alive[r] = 0;
-        ++result.dead_routers;
-        // Out-link queues buffer at the downstream routers and drain
-        // normally; the links themselves carry nothing further.
-        for (const std::size_t l : topology.out_links(r)) {
-          if (link_alive[l]) {
-            link_alive[l] = 0;
-            ++result.dead_links;
-          }
-        }
-        for (const std::size_t l : in_channels[r]) kill_link(l);
-        FlitRing& inject_ring = rings[channels + r];
-        while (!inject_ring.empty()) {
-          if (inject_ring.front().measured) ++result.dropped;
-          inject_ring.pop_front();
-          --occupancy[r];
-        }
-        changed = true;
-      }
-      if (changed) {
-        rebuild_live_routes(topology, dst_used, in_channels, link_alive,
-                            router_alive, next_hop);
-      }
-    }
-    // 1. Injection: Bernoulli approximation of Poisson arrivals
-    //    (injection_rate < 1 per module per cycle).
-    if (cycle < measure_end) {
-      for (std::size_t m = 0; m < modules; ++m) {
-        if (!rng.bernoulli(injection_rate)) continue;
-        std::size_t d;
-        if (implicit) {
-          d = traffic.sample(rng, m);
-        } else {
-          const double u = rng.uniform();
-          const double* row = &cdf[m * modules];
-          d = static_cast<std::size_t>(
-              std::lower_bound(row, row + modules, u) - row);
-          // Defensive clamp: float shortfall in the row total can push u
-          // past the last CDF entry (construction-time validation keeps
-          // genuinely bad matrices out; this guards roundoff only).
-          if (d >= modules) d = modules - 1;
-        }
-        if (chaos && !router_alive[module_router[m]]) {
-          // Dead source router: the module offered a packet the network
-          // never accepted. Both RNG draws above still happened, so the
-          // traffic sequence matches the fault-free run.
-          if (in_window) {
-            ++result.injected;
-            ++result.dropped;
-          }
-          continue;
-        }
-        Flit flit;
-        flit.dst_module = static_cast<std::uint32_t>(d);
-        flit.dst_router = static_cast<std::uint32_t>(module_router[d]);
-        flit.inject_cycle = cycle;
-        flit.measured = in_window;
-        flit.ready_cycle = cycle;
-        if (flit.measured) ++result.injected;
-        const std::size_t r = module_router[m];
-        rings[channels + r].push_back(flit);
-        ++occupancy[r];
-      }
-    }
-
-    // 2. Switch allocation per router: each output channel (and the
-    //    ejection port) accepts up to `bandwidth` flits per cycle,
-    //    round-robin over the input queues (injection + incoming
-    //    channels).
-    for (std::size_t r = 0; r < routers; ++r) {
-      // rr_state is kept reduced mod n_inputs, so the wrap-arounds below
-      // are conditional subtractions instead of hardware divisions.
-      const std::size_t input_base = input_offset[r];
-      const std::size_t n_inputs = input_offset[r + 1] - input_base;
-      if (occupancy[r] == 0) {
-        // Idle router: nothing can move, only the round-robin pointer
-        // advances (exactly as it would after scanning empty queues).
-        const std::size_t bumped = rr_state[r] + 1;
-        rr_state[r] = bumped == n_inputs ? 0 : bumped;
-        continue;
-      }
-      // Budget per output channel this cycle.
-      const std::size_t n_outs = budget_offset[r + 1] - budget_offset[r];
-      if (n_outs > 0) {
-        std::memcpy(budget.data(), &budget_template[budget_offset[r]],
-                    n_outs * sizeof(int));
-      }
-      int eject_budget = 1;
-
-      // Input queue list: index 0 = injection, then incoming channels.
-      const std::size_t start = rr_state[r];
-      for (std::size_t k = 0; k < n_inputs; ++k) {
-        std::size_t qi = start + k;
-        if (qi >= n_inputs) qi -= n_inputs;
-        FlitRing& q = rings[input_ids[input_base + qi]];
-        // Move as many head flits as outputs allow (one per output).
-        // head_ready() folds "empty" and "head still in the pipeline"
-        // into one cheap test.
-        while (q.head_ready() <= cycle) {
-          Flit& flit = q.front();
-          if (flit.dst_router == r) {
-            if (eject_budget <= 0) break;
-            --eject_budget;
-            // Delivered.
-            if (flit.measured) {
-              ++result.delivered;
-              latency_sum += static_cast<double>(
-                  cycle + static_cast<std::uint64_t>(
-                              config.router_delay_cycles) -
-                  flit.inject_cycle);
-            }
-            q.pop_front();
-            --occupancy[r];
-            continue;
-          }
-          const std::size_t key = r * routers + flit.dst_router;
-          const NextHop hop = next_hop.hops[key];
-          if (hop.link >= kFailedHop) {
-            if (chaos && hop.link == kFailedHop) {
-              // Fault mode: the destination is cut off. Drop the flit
-              // and surface the Status as result data, never a throw.
-              if (flit.measured) ++result.unreachable;
-              if (!route_failure_seen[key]) {
-                route_failure_seen[key] = true;
-                if (result.route_failures.size() < kMaxRouteFailures) {
-                  result.route_failures.push_back(next_hop.failures.at(key));
-                }
-              }
-              q.pop_front();
-              --occupancy[r];
-              continue;
-            }
-            // Surfaced once per simulation; kNoHop means the routing
-            // table missed a reachable pair, which is a bug here.
-            if (hop.link == kFailedHop) {
-              throw StatusError(next_hop.failures.at(key));
-            }
-            throw StatusError(Status(
-                StatusCode::kExecutionError,
-                "simulate_network: no precomputed next hop for router " +
-                    std::to_string(r) + " -> " +
-                    std::to_string(flit.dst_router)));
-          }
-          if (budget[hop.out_index] <= 0) break;
-          FlitRing& dst_queue = rings[hop.link];
-          if (dst_queue.size() >= config.buffer_depth) break;
-          --budget[hop.out_index];
-          // A hop costs router_delay cycles total (pipeline + transfer),
-          // matching the analytic model's per-hop latency.
-          dst_queue.push_back_rescheduled(
-              flit,
-              cycle + static_cast<std::uint64_t>(config.router_delay_cycles));
-          ++occupancy[link_dst[hop.link]];
-          q.pop_front();
-          --occupancy[r];
-        }
-      }
-      const std::size_t bumped = rr_state[r] + 1;
-      rr_state[r] = bumped == n_inputs ? 0 : bumped;
-    }
-  }
-
-  result.mean_latency_cycles =
-      result.delivered == 0 ? 0.0
-                            : latency_sum / static_cast<double>(result.delivered);
-  result.delivered_per_cycle =
-      static_cast<double>(result.delivered) /
-      (static_cast<double>(config.measure_cycles) *
-       static_cast<double>(modules));
-  // Stability: everything measured was eventually resolved (delivered,
-  // or — in fault mode — terminally dropped; losses are accounted, not
-  // stuck in a queue).
-  result.stable = result.delivered + result.dropped + result.unreachable >=
-                  result.injected * 995 / 1000;
-  return result;
-}
-
-}  // namespace detail
 
 }  // namespace wi::noc

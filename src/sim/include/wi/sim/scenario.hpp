@@ -138,6 +138,12 @@ struct NocSpec {
   /// hotspot settings); messages are prefixed with `scenario_name`.
   [[nodiscard]] Status validate(const std::string& scenario_name) const;
 
+  /// Checks for workloads that run the flit DES: `model`'s router delay
+  /// must be a whole number of cycles the DES supports
+  /// (noc::validate_router_delay).
+  [[nodiscard]] Status validate_des_delay(
+      const std::string& scenario_name) const;
+
   /// Materialise the traffic pattern for `modules` modules.
   [[nodiscard]] noc::TrafficPattern build_traffic(std::size_t modules) const;
 

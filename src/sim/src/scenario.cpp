@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "wi/noc/flit_sim.hpp"
 #include "wi/sim/workload.hpp"
 
 namespace wi::sim {
@@ -127,6 +128,12 @@ Status NocSpec::validate(const std::string& scenario_name) const {
     }
   }
   return Status::ok();
+}
+
+Status NocSpec::validate_des_delay(const std::string& scenario_name) const {
+  const Status delay = noc::validate_router_delay(model.router_delay_cycles);
+  if (delay.is_ok()) return delay;
+  return invalid(scenario_name + ": noc model " + delay.message());
 }
 
 noc::TrafficPattern NocSpec::build_traffic(std::size_t modules) const {

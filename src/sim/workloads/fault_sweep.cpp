@@ -71,6 +71,8 @@ class FaultSweepRunner final : public WorkloadRunner {
   Status validate(const ScenarioSpec& spec) const override {
     const Status noc = spec.noc.validate(spec.name);
     if (!noc.is_ok()) return noc;
+    const Status delay = spec.noc.validate_des_delay(spec.name);
+    if (!delay.is_ok()) return delay;
     const auto& s = spec.payload<FaultSweepSpec>();
     for (const double rate : s.fail_rates) {
       if (rate < 0.0 || rate > 1.0) {
@@ -119,6 +121,7 @@ class FaultSweepRunner final : public WorkloadRunner {
     config.measure_cycles = s.measure_cycles;
     config.drain_cycles = s.drain_cycles;
     config.buffer_depth = s.buffer_depth;
+    config.router_delay_cycles = spec.noc.model.router_delay_cycles;
     config.seed = s.seed;
     // Faults strike while traffic flows; the drain tail only empties
     // queues, so the activation horizon is warmup + measure.

@@ -55,6 +55,8 @@ class FlitSimRunner final : public WorkloadRunner {
   Status validate(const ScenarioSpec& spec) const override {
     const Status noc = spec.noc.validate(spec.name);
     if (!noc.is_ok()) return noc;
+    const Status delay = spec.noc.validate_des_delay(spec.name);
+    if (!delay.is_ok()) return delay;
     const auto& flit = spec.payload<FlitSimSpec>();
     if (flit.measure_cycles < 1) {
       return {StatusCode::kInvalidSpec,
@@ -89,6 +91,7 @@ class FlitSimRunner final : public WorkloadRunner {
     config.measure_cycles = flit.measure_cycles;
     config.drain_cycles = flit.drain_cycles;
     config.buffer_depth = flit.buffer_depth;
+    config.router_delay_cycles = spec.noc.model.router_delay_cycles;
     config.seed = flit.seed;
     std::vector<double> rates = flit.injection_rates;
     if (rates.empty()) rates = {0.05, 0.1, 0.15, 0.2};

@@ -24,7 +24,10 @@ class NocLatencyRunner final : public WorkloadRunner {
   }
 
   Status validate(const ScenarioSpec& spec) const override {
-    return spec.noc.validate(spec.name);
+    const Status noc = spec.noc.validate(spec.name);
+    if (!noc.is_ok() || spec.noc.des_check_rate <= 0.0) return noc;
+    // The DES cross-check runs on the spec's router delay.
+    return spec.noc.validate_des_delay(spec.name);
   }
 
   void apply_seed(ScenarioSpec& spec, std::uint64_t seed) const override {
@@ -64,6 +67,7 @@ class NocLatencyRunner final : public WorkloadRunner {
       noc::FlitSimConfig sim;
       sim.warmup_cycles = 2000;
       sim.measure_cycles = 8000;
+      sim.router_delay_cycles = spec.noc.model.router_delay_cycles;
       sim.seed = spec.noc.des_seed;
       const auto des = simulate_network(topology, *routing, traffic,
                                         spec.noc.des_check_rate, sim);

@@ -118,5 +118,32 @@ TEST(CompareTables, FormatDiffListsMismatches) {
   EXPECT_NE(text.find("expected '2', got '3'"), std::string::npos);
 }
 
+TEST(DiffNotes, ReportsChangedMissingAndExtraLines) {
+  const std::vector<std::string> golden = {"topology: A", "fit: 1.0"};
+  EXPECT_EQ(diff_notes(golden, golden), "");
+  EXPECT_EQ(diff_notes({}, {}), "");
+
+  const std::string changed = diff_notes({"topology: A", "fit: 2.0"}, golden);
+  EXPECT_NE(changed.find("1 note mismatch\n"), std::string::npos) << changed;
+  EXPECT_NE(changed.find("note 1: expected 'fit: 1.0', got 'fit: 2.0'"),
+            std::string::npos)
+      << changed;
+
+  const std::string missing = diff_notes({"topology: A"}, golden);
+  EXPECT_NE(missing.find("note 1: expected 'fit: 1.0', got no line"),
+            std::string::npos)
+      << missing;
+  const std::string extra =
+      diff_notes({"topology: A", "fit: 1.0", "new"}, golden);
+  EXPECT_NE(extra.find("note 2: expected no line, got 'new'"),
+            std::string::npos)
+      << extra;
+
+  const std::string capped = diff_notes({"x", "y", "z"}, {}, 1);
+  EXPECT_NE(capped.find("3 note mismatches"), std::string::npos) << capped;
+  EXPECT_NE(capped.find("... and 2 more"), std::string::npos) << capped;
+  EXPECT_EQ(capped.find("note 1:"), std::string::npos) << capped;
+}
+
 }  // namespace
 }  // namespace wi

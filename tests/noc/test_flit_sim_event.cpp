@@ -1,21 +1,19 @@
 /// \file test_flit_sim_event.cpp
-/// \brief Event-wheel core specifics: wheel quiescence, degenerate
-///        topologies, partition-count bit-identity, and fault
-///        activations landing on partition window boundaries.
+/// \brief Event-core specifics: wheel quiescence, turns only where
+///        there is work, and the config checks simulate_network makes.
 ///
-/// The golden tests pin the event core against the committed result
-/// files; this file pins it against the legacy cycle-stepped oracle
-/// (FlitSimCore::kLegacy) under configurations chosen to stress the
-/// event-specific machinery: the calendar wheel, the shard staircase,
-/// and the fault barriers.
+/// The golden tests pin the core against the committed result files and
+/// tests/perf/test_flit_sim_oracle.cpp pins it against the cycle-stepped
+/// loop it replaced; this file pins what only the event core has — the
+/// calendar wheel and its turn count.
 
 #include "wi/noc/flit_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-
-#include "wi/common/fault.hpp"
+#include <cstdint>
+#include <vector>
 
 namespace wi::noc {
 namespace {
@@ -28,35 +26,16 @@ FlitSimConfig base_config() {
   return config;
 }
 
-/// Full-result equality: every statistic the goldens pin, plus the
-/// fault accounting. turns_executed is diagnostics-only and excluded.
-void expect_identical(const FlitSimResult& a, const FlitSimResult& b) {
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.injected, b.injected);
-  EXPECT_DOUBLE_EQ(a.mean_latency_cycles, b.mean_latency_cycles);
-  EXPECT_DOUBLE_EQ(a.delivered_per_cycle, b.delivered_per_cycle);
-  EXPECT_EQ(a.stable, b.stable);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.unreachable, b.unreachable);
-  EXPECT_EQ(a.dead_links, b.dead_links);
-  EXPECT_EQ(a.dead_routers, b.dead_routers);
-  ASSERT_EQ(a.route_failures.size(), b.route_failures.size());
-  for (std::size_t i = 0; i < a.route_failures.size(); ++i) {
-    EXPECT_EQ(a.route_failures[i].message(), b.route_failures[i].message());
-  }
-}
-
 TEST(FlitSimEvent, ZeroTrafficTerminatesWithoutTurningARouter) {
   const Topology t = Topology::mesh_2d(4, 4);
   const DimensionOrderRouting routing;
   FlitSimConfig config = base_config();
-  config.core = FlitSimCore::kEvent;
   const auto result = simulate_network(t, routing,
                                        TrafficPattern::uniform(16), 0.0,
                                        config);
   // No injections -> nothing is ever scheduled on the wheel, so the
-  // run completes without executing a single router turn. The legacy
-  // core would have visited 16 routers x 6500 cycles.
+  // run completes without executing a single router turn. A
+  // cycle-stepped loop would have visited 16 routers x 6500 cycles.
   EXPECT_EQ(result.turns_executed, 0u);
   EXPECT_EQ(result.injected, 0u);
   EXPECT_EQ(result.delivered, 0u);
@@ -67,7 +46,6 @@ TEST(FlitSimEvent, TurnsExecutedStaysFarBelowCycleSteppedWork) {
   const Topology t = Topology::mesh_2d(8, 8);
   const DimensionOrderRouting routing;
   FlitSimConfig config = base_config();
-  config.core = FlitSimCore::kEvent;
   const auto result = simulate_network(t, routing,
                                        TrafficPattern::uniform(64), 0.01,
                                        config);
@@ -80,96 +58,65 @@ TEST(FlitSimEvent, TurnsExecutedStaysFarBelowCycleSteppedWork) {
   EXPECT_LT(result.turns_executed, cycle_stepped / 2);
 }
 
-TEST(FlitSimEvent, SingleRouterMeshMatchesLegacy) {
-  // One router carrying four modules, zero links: every flit ejects
-  // where it is injected. Exercises the eject-at-source path and the
-  // empty ring arrays.
-  const Topology t = Topology::star_mesh(1, 1, 4);
+TEST(FlitSimEvent, FutureOfferDoesNotTurnItsRouterEarly) {
+  // One router, one module sending to itself: every offer ejects the
+  // cycle it is drawn, and between offers the router has nothing to do.
+  // So the only turns are the offer cycles — a router whose next work
+  // is a later offer must not be polled before that cycle.
+  const Topology t = Topology::star_mesh(1, 1, 1);
   const DimensionOrderRouting routing;
-  const TrafficPattern traffic = TrafficPattern::uniform(4);
-  FlitSimConfig legacy = base_config();
-  legacy.core = FlitSimCore::kLegacy;
-  FlitSimConfig event = base_config();
-  event.core = FlitSimCore::kEvent;
-  const auto a = simulate_network(t, routing, traffic, 0.4, legacy);
-  const auto b = simulate_network(t, routing, traffic, 0.4, event);
-  expect_identical(a, b);
-  EXPECT_GT(b.delivered, 0u);
-}
-
-TEST(FlitSimEvent, PartitionCountSweepIsBitIdentical) {
-  // Asymmetric mesh so partitions cut the router range unevenly; a
-  // saturating rate so shard boundaries carry real backpressure.
-  const Topology t = Topology::mesh_2d(5, 3);
-  const DimensionOrderRouting routing;
-  const TrafficPattern traffic = TrafficPattern::uniform(15);
-  FlitSimConfig legacy = base_config();
-  legacy.core = FlitSimCore::kLegacy;
-  legacy.seed = 7;
-  const auto oracle = simulate_network(t, routing, traffic, 0.25, legacy);
-  for (const std::size_t parts : {1u, 2u, 4u, 8u}) {
-    FlitSimConfig event = legacy;
-    event.core = FlitSimCore::kEvent;
-    event.partitions = parts;
-    event.threads = parts > 1 ? 4 : 1;
-    SCOPED_TRACE(testing::Message() << "partitions=" << parts);
-    const auto got = simulate_network(t, routing, traffic, 0.25, event);
-    expect_identical(oracle, got);
+  const TrafficPattern to_self(std::vector<double>{1.0}, 1);
+  FlitSimConfig config = base_config();
+  config.warmup_cycles = 0;
+  for (const double rate : {0.002, 0.02, 0.2}) {
+    SCOPED_TRACE(testing::Message() << "rate=" << rate);
+    const auto result = simulate_network(t, routing, to_self, rate, config);
+    EXPECT_GT(result.injected, 0u);
+    EXPECT_EQ(result.delivered, result.injected);
+    EXPECT_EQ(result.turns_executed, result.injected);
   }
 }
 
-TEST(FlitSimEvent, FaultOnPartitionWindowBoundaryIsBitIdentical) {
-  // The parallel mode advances shards in conservative windows of
-  // `router_delay_cycles`; fault activations act as global barriers.
-  // Place activations exactly on window multiples (and one off-by-one
-  // neighbour) to pin the barrier handshake, and compare against the
-  // sequential legacy oracle.
-  const Topology t = Topology::mesh_2d(5, 3);
-  const DimensionOrderRouting routing;
-  const TrafficPattern traffic = TrafficPattern::uniform(15);
-  FlitSimConfig legacy = base_config();
-  legacy.core = FlitSimCore::kLegacy;
-  legacy.seed = 11;
-  const std::uint64_t delay =
-      static_cast<std::uint64_t>(legacy.router_delay_cycles);
-  ASSERT_GE(delay, 1u);
-  fault::FaultSchedule faults;
-  // Window-aligned link death, window-aligned router death, and a
-  // misaligned one straddling the boundary.
-  faults.events.push_back({fault::FaultEvent::Kind::kLink, 3, delay * 300});
-  faults.events.push_back(
-      {fault::FaultEvent::Kind::kRouter, 7, delay * 700});
-  faults.events.push_back(
-      {fault::FaultEvent::Kind::kLink, 9, delay * 900 + 1});
-  const auto oracle =
-      simulate_network(t, routing, traffic, 0.25, legacy, faults);
-  for (const std::size_t parts : {2u, 4u, 8u}) {
-    FlitSimConfig event = legacy;
-    event.core = FlitSimCore::kEvent;
-    event.partitions = parts;
-    event.threads = 4;
-    SCOPED_TRACE(testing::Message() << "partitions=" << parts);
-    const auto got =
-        simulate_network(t, routing, traffic, 0.25, event, faults);
-    expect_identical(oracle, got);
-  }
-  EXPECT_GT(oracle.dead_links, 0u);
-  EXPECT_GT(oracle.dead_routers, 0u);
-}
-
-TEST(FlitSimEvent, AutoFallsBackToLegacyBelowUnitDelay) {
-  // kAuto must not hand a sub-cycle pipeline to the event wheel.
+TEST(FlitSimEvent, RouterDelayMustBeAWholeNumberOfCycles) {
   const Topology t = Topology::mesh_2d(4, 4);
   const DimensionOrderRouting routing;
+  const TrafficPattern traffic = TrafficPattern::uniform(16);
+  for (const double delay : {0.0, 0.5, 2.5, -1.0, 1e6}) {
+    SCOPED_TRACE(testing::Message() << "delay=" << delay);
+    EXPECT_FALSE(validate_router_delay(delay).is_ok());
+    FlitSimConfig config = base_config();
+    config.router_delay_cycles = delay;
+    try {
+      (void)simulate_network(t, routing, traffic, 0.1, config);
+      ADD_FAILURE() << "expected StatusError";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kInvalidSpec);
+    }
+  }
+  // A longer whole-cycle pipeline runs and costs latency.
+  FlitSimConfig two = base_config();
+  FlitSimConfig three = base_config();
+  three.router_delay_cycles = 3.0;
+  ASSERT_TRUE(validate_router_delay(3.0).is_ok());
+  const auto a = simulate_network(t, routing, traffic, 0.1, two);
+  const auto b = simulate_network(t, routing, traffic, 0.1, three);
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_GT(b.delivered, 0u);
+  EXPECT_GT(b.mean_latency_cycles, a.mean_latency_cycles);
+}
+
+TEST(FlitSimEvent, PackingLimitsThrowStatusError) {
+  const Topology t = Topology::mesh_2d(2, 2);
+  const DimensionOrderRouting routing;
   FlitSimConfig config = base_config();
-  config.router_delay_cycles = 0.0;
-  config.core = FlitSimCore::kAuto;
-  const auto result = simulate_network(t, routing,
-                                       TrafficPattern::uniform(16), 0.1,
-                                       config);
-  EXPECT_GT(result.delivered, 0u);
-  // The legacy core leaves the event-core diagnostic at zero.
-  EXPECT_EQ(result.turns_executed, 0u);
+  config.buffer_depth = std::size_t{1} << 16;
+  try {
+    (void)simulate_network(t, routing, TrafficPattern::uniform(4), 0.1,
+                           config);
+    ADD_FAILURE() << "expected StatusError";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code(), StatusCode::kInvalidSpec);
+  }
 }
 
 }  // namespace

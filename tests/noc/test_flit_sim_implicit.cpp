@@ -1,8 +1,8 @@
 /// \file test_flit_sim_implicit.cpp
 /// \brief Implicit traffic patterns and computed mesh routing inside the
-///        DES cores: dense-vs-implicit differentials, computed-vs-dense
-///        next-hop equivalence, and thread/partition bit-identity on an
-///        analytic-pattern mesh.
+///        DES: dense-vs-implicit differentials and computed-vs-dense
+///        next-hop equivalence. (The event-vs-legacy differential on
+///        implicit patterns lives in tests/perf/test_flit_sim_oracle.cpp.)
 ///
 /// The permutation patterns (transpose, bit-complement, tornado) sample
 /// through the same one-raw-per-hit scheme dense CDF sampling uses and
@@ -42,7 +42,7 @@ void expect_identical(const FlitSimResult& a, const FlitSimResult& b) {
 }
 
 /// Delegates to dimension-order routing but is not a
-/// DimensionOrderRouting, so the event core's grid-mode detection
+/// DimensionOrderRouting, so the simulator's grid-mode detection
 /// (a dynamic_cast) fails and it falls back to the dense next-hop
 /// table. Comparing runs under the two routings pins the computed
 /// next-hop against the dense table port by port.
@@ -67,17 +67,11 @@ TEST(FlitSimImplicit, TransposeDenseVsImplicitBitIdentical) {
   const DimensionOrderRouting routing;
   const TrafficPattern dense = TrafficPattern::transpose(16);
   const TrafficPattern implicit = TrafficPattern::implicit_transpose(16);
-  for (const FlitSimCore core : {FlitSimCore::kLegacy, FlitSimCore::kEvent}) {
-    FlitSimConfig config = base_config();
-    config.core = core;
-    SCOPED_TRACE(testing::Message()
-                 << "core=" << (core == FlitSimCore::kLegacy ? "legacy"
-                                                            : "event"));
-    const auto a = simulate_network(t, routing, dense, 0.1, config);
-    const auto b = simulate_network(t, routing, implicit, 0.1, config);
-    expect_identical(a, b);
-    EXPECT_GT(a.delivered, 0u);
-  }
+  const FlitSimConfig config = base_config();
+  const auto a = simulate_network(t, routing, dense, 0.1, config);
+  const auto b = simulate_network(t, routing, implicit, 0.1, config);
+  expect_identical(a, b);
+  EXPECT_GT(a.delivered, 0u);
 }
 
 TEST(FlitSimImplicit, TornadoDenseVsImplicitBitIdentical) {
@@ -86,42 +80,11 @@ TEST(FlitSimImplicit, TornadoDenseVsImplicitBitIdentical) {
   const TrafficPattern dense = TrafficPattern::tornado(15, 5, 3, 1);
   const TrafficPattern implicit =
       TrafficPattern::implicit_tornado(15, 5, 3, 1);
-  for (const FlitSimCore core : {FlitSimCore::kLegacy, FlitSimCore::kEvent}) {
-    FlitSimConfig config = base_config();
-    config.core = core;
-    SCOPED_TRACE(testing::Message()
-                 << "core=" << (core == FlitSimCore::kLegacy ? "legacy"
-                                                            : "event"));
-    const auto a = simulate_network(t, routing, dense, 0.1, config);
-    const auto b = simulate_network(t, routing, implicit, 0.1, config);
-    expect_identical(a, b);
-    EXPECT_GT(a.delivered, 0u);
-  }
-}
-
-TEST(FlitSimImplicit, LegacyAndEventCoresAgreeOnImplicitPatterns) {
-  // The cores share the injection stream contract (one Bernoulli raw
-  // plus one sampler draw per hit), so implicit patterns must be
-  // bit-identical across cores, exactly like dense ones.
-  const Topology t = Topology::mesh_2d(4, 4);
-  const DimensionOrderRouting routing;
-  const TrafficPattern patterns[] = {
-      TrafficPattern::implicit_uniform(16),
-      TrafficPattern::implicit_transpose(16),
-      TrafficPattern::implicit_hotspot(16, 5, 0.3),
-  };
-  for (const TrafficPattern& traffic : patterns) {
-    FlitSimConfig legacy = base_config();
-    legacy.core = FlitSimCore::kLegacy;
-    FlitSimConfig event = base_config();
-    event.core = FlitSimCore::kEvent;
-    SCOPED_TRACE(testing::Message()
-                 << "kind=" << static_cast<int>(traffic.kind()));
-    const auto a = simulate_network(t, routing, traffic, 0.15, legacy);
-    const auto b = simulate_network(t, routing, traffic, 0.15, event);
-    expect_identical(a, b);
-    EXPECT_GT(a.delivered, 0u);
-  }
+  const FlitSimConfig config = base_config();
+  const auto a = simulate_network(t, routing, dense, 0.1, config);
+  const auto b = simulate_network(t, routing, implicit, 0.1, config);
+  expect_identical(a, b);
+  EXPECT_GT(a.delivered, 0u);
 }
 
 TEST(FlitSimImplicit, UniformDenseVsImplicitStatisticalAgreement) {
@@ -132,7 +95,6 @@ TEST(FlitSimImplicit, UniformDenseVsImplicitStatisticalAgreement) {
   const DimensionOrderRouting routing;
   FlitSimConfig config = base_config();
   config.measure_cycles = 6000;
-  config.core = FlitSimCore::kEvent;
   const auto a = simulate_network(t, routing, TrafficPattern::uniform(64),
                                   0.05, config);
   const auto b = simulate_network(
@@ -160,40 +122,13 @@ TEST(FlitSimImplicit, ComputedNextHopMatchesDenseTable) {
     const TrafficPattern traffic =
         TrafficPattern::implicit_uniform(t.module_count());
     FlitSimConfig config = base_config();
-    config.core = FlitSimCore::kEvent;
-    config.seed = 5;
+      config.seed = 5;
     SCOPED_TRACE(testing::Message() << "routers=" << t.router_count());
     const auto grid = simulate_network(t, dor, traffic, 0.3, config);
     const auto dense = simulate_network(t, disguised, traffic, 0.3, config);
     expect_identical(grid, dense);
     EXPECT_GT(grid.delivered, 0u);
   }
-}
-
-TEST(FlitSimImplicit, ThreadAndPartitionSweepIsBitIdentical) {
-  // Implicit hotspot pattern on an asymmetric mesh: the partitioned
-  // staircase and the single-shard run must agree bit for bit, at 1
-  // and 4 worker threads, partitions 1/2/4/8.
-  const Topology t = Topology::mesh_2d(5, 3);
-  const DimensionOrderRouting routing;
-  const TrafficPattern traffic =
-      TrafficPattern::implicit_hotspot(15, 7, 0.25);
-  FlitSimConfig base = base_config();
-  base.core = FlitSimCore::kEvent;
-  base.seed = 9;
-  const auto oracle = simulate_network(t, routing, traffic, 0.25, base);
-  for (const std::size_t parts : {1u, 2u, 4u, 8u}) {
-    for (const std::size_t threads : {1u, 4u}) {
-      FlitSimConfig config = base;
-      config.partitions = parts;
-      config.threads = threads;
-      SCOPED_TRACE(testing::Message()
-                   << "partitions=" << parts << " threads=" << threads);
-      const auto got = simulate_network(t, routing, traffic, 0.25, config);
-      expect_identical(oracle, got);
-    }
-  }
-  EXPECT_GT(oracle.delivered, 0u);
 }
 
 TEST(FlitSimImplicit, HotspotImplicitConcentratesTrafficAtHotModule) {
@@ -203,7 +138,6 @@ TEST(FlitSimImplicit, HotspotImplicitConcentratesTrafficAtHotModule) {
   const Topology t = Topology::mesh_2d(8, 8);
   const DimensionOrderRouting routing;
   FlitSimConfig config = base_config();
-  config.core = FlitSimCore::kEvent;
   const auto uniform = simulate_network(
       t, routing, TrafficPattern::implicit_uniform(64), 0.05, config);
   const auto hotspot = simulate_network(

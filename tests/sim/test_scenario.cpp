@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "wi/sim/engine.hpp"
+#include "wi/sim/workloads/flit_sim.hpp"
 #include "wi/sim/workloads/hybrid_system.hpp"
 #include "wi/sim/workloads/tx_power_sweep.hpp"
 
@@ -64,6 +66,54 @@ TEST(ScenarioSpec, ValidateMessagesNameTheScenario) {
   const Status status = spec.validate();
   EXPECT_FALSE(status.is_ok());
   EXPECT_NE(status.message().find("my_scenario"), std::string::npos);
+}
+
+TEST(ScenarioSpec, DesWorkloadsTakeAWholeRouterDelayFromTheModel) {
+  // flit_sim, fault_sweep and noc_latency's DES cross-check run the flit
+  // DES on noc.model.router_delay_cycles, which must be whole cycles.
+  ScenarioSpec noc_latency;
+  noc_latency.name = "delay";
+  noc_latency.workload = "noc_latency";
+  noc_latency.noc.des_check_rate = 0.1;
+  ScenarioSpec fault_sweep = noc_latency;
+  fault_sweep.workload = "fault_sweep";
+  ScenarioSpec flit = noc_latency;
+  flit.workload = "flit_sim";
+  for (ScenarioSpec* spec : {&noc_latency, &fault_sweep, &flit}) {
+    SCOPED_TRACE(spec->workload);
+    for (const double bad : {0.0, 2.5}) {
+      spec->noc.model.router_delay_cycles = bad;
+      const Status status = spec->validate();
+      EXPECT_EQ(status.code(), StatusCode::kInvalidSpec);
+      EXPECT_NE(status.message().find("router_delay_cycles"),
+                std::string::npos)
+          << status.message();
+    }
+    spec->noc.model.router_delay_cycles = 3.0;
+    EXPECT_TRUE(spec->validate().is_ok());
+  }
+  // Without the cross-check noc_latency is analytic only, and the
+  // queueing model takes any delay.
+  noc_latency.noc.des_check_rate = 0.0;
+  noc_latency.noc.model.router_delay_cycles = 2.5;
+  EXPECT_TRUE(noc_latency.validate().is_ok());
+
+  // The delay reaches the DES: at the same seed and load a 3-cycle
+  // pipeline injects the same packets and delivers them later.
+  SimEngine engine({1});
+  auto& payload = flit.payload<FlitSimSpec>();
+  payload.injection_rates = {0.05};
+  payload.warmup_cycles = 200;
+  payload.measure_cycles = 1000;
+  payload.drain_cycles = 2000;
+  const RunResult three = engine.run(flit);
+  flit.noc.model.router_delay_cycles = 2.0;
+  const RunResult two = engine.run(flit);
+  ASSERT_TRUE(three.ok()) << three.status.to_string();
+  ASSERT_TRUE(two.ok()) << two.status.to_string();
+  EXPECT_EQ(three.table.cell(0, 4), two.table.cell(0, 4));  // injected
+  EXPECT_GT(std::stod(three.table.cell(0, 1)),
+            std::stod(two.table.cell(0, 1)));  // latency_cycles
 }
 
 TEST(ExpandGrid, CartesianProductAndNames) {

@@ -102,7 +102,8 @@ void print_usage(std::ostream& os) {
         "  --out DIR          write <scenario>.csv + <scenario>.json there\n"
         "  --store DIR        persistent result cache (content-keyed by\n"
         "                     spec hash + version '" WI_GIT_DESCRIBE "')\n"
-        "  --check PATH       diff each result against golden CSV: PATH\n"
+        "  --check PATH       diff each result against golden CSV (and\n"
+        "                     its notes against the JSON twin): PATH\n"
         "                     is a directory with <scenario>.csv files,\n"
         "                     or one CSV file for a single scenario\n"
         "  --rel-tol X        cell tolerance, relative (default 1e-9)\n"
@@ -324,7 +325,44 @@ void write_artifacts(const std::filesystem::path& dir,
   }
 }
 
-/// Returns true when the result matches its golden reference.
+/// Compares the result's notes line for line against the "notes" array
+/// of the golden JSON beside `golden_csv` (diff_notes). A golden CSV
+/// without a JSON twin has no notes to check.
+[[nodiscard]] bool check_notes(const std::filesystem::path& golden_csv,
+                               const RunResult& result,
+                               const CompareOptions& compare) {
+  std::filesystem::path golden_json = golden_csv;
+  golden_json.replace_extension(".json");
+  std::ifstream in(golden_json);
+  if (!in) return true;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  std::vector<std::string> expected;
+  try {
+    const Json golden = Json::parse(buffer.str());
+    if (const Json* notes = golden.find("notes")) {
+      for (const Json& note : notes->as_array()) {
+        expected.push_back(note.as_string());
+      }
+    }
+  } catch (const StatusError& e) {
+    std::cerr << "check " << result.scenario << ": unreadable golden '"
+              << golden_json.string() << "': " << e.status().to_string()
+              << "\n";
+    return false;
+  }
+  const std::string diff =
+      diff_notes(result.notes, expected, compare.max_mismatches);
+  if (diff.empty()) return true;
+  std::cerr << "check " << result.scenario << ": MISMATCH vs '"
+            << golden_json.string() << "'\n"
+            << diff << "\n";
+  return false;
+}
+
+/// Returns true when the result matches its golden reference: the
+/// table cell by cell against the golden CSV, the notes line for line
+/// against its JSON twin.
 [[nodiscard]] bool check_result(const std::filesystem::path& check_path,
                                 const RunResult& result,
                                 const CompareOptions& compare) {
@@ -342,16 +380,16 @@ void write_artifacts(const std::filesystem::path& dir,
   buffer << in.rdbuf();
   const Table golden = table_from_csv(buffer.str());
   const TableDiff diff = compare_tables(result.table, golden, compare);
-  if (diff.match) {
-    std::cout << "check " << result.scenario << ": OK ("
-              << golden.rows() << " rows vs '" << golden_file.string()
-              << "')\n";
-    return true;
+  if (!diff.match) {
+    std::cerr << "check " << result.scenario << ": MISMATCH vs '"
+              << golden_file.string() << "'\n"
+              << format_diff(diff, golden) << "\n";
+    return false;
   }
-  std::cerr << "check " << result.scenario << ": MISMATCH vs '"
-            << golden_file.string() << "'\n"
-            << format_diff(diff, golden) << "\n";
-  return false;
+  if (!check_notes(golden_file, result, compare)) return false;
+  std::cout << "check " << result.scenario << ": OK (" << golden.rows()
+            << " rows vs '" << golden_file.string() << "')\n";
+  return true;
 }
 
 [[nodiscard]] std::string slurp(const std::filesystem::path& path,
