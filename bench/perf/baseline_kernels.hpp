@@ -5,8 +5,10 @@
 ///        the info-rate trellis and the flit DES, frozen as of the PR
 ///        that vectorized them; the cycle-stepped flit DES loop, frozen
 ///        as of the PR that made the event core the only one in the
-///        library; and the BP / window LDPC decoders, frozen as of the
-///        PR that gave them a workspace and one tanh per edge.
+///        library; the BP / window LDPC decoders, frozen as of the
+///        PR that gave them a workspace and one tanh per edge; and the
+///        LDPC code construction, frozen as of the PR that started its
+///        girth search from one column per base column.
 ///
 /// They exist for two reasons: the bench/perf suite and tools/perf_report
 /// measure the optimized kernels against them in the same process (so
@@ -80,6 +82,22 @@ class BpDecoder {
   std::vector<std::uint32_t> edge_var_;
   std::vector<std::vector<std::uint32_t>> var_edges_;
 };
+
+/// Old fec::SparseBinaryMatrix::girth: a BFS from every variable node,
+/// refilling two (rows + cols)-long arrays before each one.
+[[nodiscard]] std::size_t girth_all_starts(const fec::SparseBinaryMatrix& h,
+                                           std::size_t max_girth = 12);
+
+/// Old fec::QcLdpcBlockCode construction (same shift draws and trials,
+/// each candidate's girth from girth_all_starts); returns its H.
+[[nodiscard]] fec::SparseBinaryMatrix qc_block_parity_check(
+    const fec::BaseMatrix& base, std::size_t lifting, std::uint64_t seed = 1,
+    int girth_trials = 8);
+
+/// Old fec::LdpcConvolutionalCode construction, likewise; returns its H.
+[[nodiscard]] fec::SparseBinaryMatrix ldpc_cc_parity_check(
+    const fec::EdgeSpreading& spreading, std::size_t lifting,
+    std::size_t termination, std::uint64_t seed = 1, int girth_trials = 8);
 
 /// Old fec::WindowDecoder: fresh parity-target and sub-LLR vectors per
 /// window position per codeword, decoded by the old BpDecoder above.

@@ -30,13 +30,15 @@ struct BpResult {
 };
 
 /// Caller-owned scratch of BpDecoder::decode: the per-edge messages,
-/// the per-edge tanh(v2c/2) cache and the result. One workspace serves
+/// the per-edge tanh(v2c/2) cache, the per-variable tanh of the channel
+/// LLRs (iteration 1's messages) and the result. One workspace serves
 /// any number of decodes on decoders of any size; after the first
 /// decode at a given size none of them allocates.
 struct BpWorkspace {
-  std::vector<double> v2c;        ///< variable-to-check messages
-  std::vector<double> c2v;        ///< check-to-variable messages
-  std::vector<double> tanh_half;  ///< tanh(0.5 * clip(v2c)) per edge
+  std::vector<double> v2c;           ///< variable-to-check messages
+  std::vector<double> c2v;           ///< check-to-variable messages
+  std::vector<double> tanh_half;     ///< tanh(0.5 * clip(v2c)) per edge
+  std::vector<double> tanh_channel;  ///< tanh(0.5 * clip(llr)) per variable
   BpResult result;
 };
 

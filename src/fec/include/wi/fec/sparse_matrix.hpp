@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace wi::fec {
@@ -41,8 +42,19 @@ class SparseBinaryMatrix {
 
   /// Girth (shortest cycle length) of the Tanner graph, capped at
   /// `max_girth` for tractability; returns max_girth + 2 when no cycle
-  /// up to the cap exists. Used by lifting quality tests.
+  /// up to the cap exists. A BFS from every variable node.
   [[nodiscard]] std::size_t girth(std::size_t max_girth = 12) const;
+
+  /// Same cap, with a BFS from the listed variable nodes (columns) only.
+  /// Every cycle length a BFS reports is at least the girth, and a BFS
+  /// from a node on a shortest cycle reports that cycle's length. So
+  /// the result equals girth(max_girth) whenever some shortest cycle
+  /// passes through a start: for a graph with automorphisms, one start
+  /// per orbit of cycles. The lifted codes pass one column per base
+  /// column (see ldpc_code.cpp). Throws std::out_of_range for a start
+  /// that is not a column.
+  [[nodiscard]] std::size_t girth_from(std::span<const std::size_t> starts,
+                                       std::size_t max_girth = 12) const;
 
  private:
   std::vector<std::vector<std::uint32_t>> row_adj_;

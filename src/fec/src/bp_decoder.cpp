@@ -1,6 +1,7 @@
 #include "wi/fec/bp_decoder.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -61,6 +62,7 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
   std::vector<double>& v2c = workspace.v2c;
   std::vector<double>& c2v = workspace.c2v;
   std::vector<double>& tanh_half = workspace.tanh_half;
+  std::vector<double>& tanh_channel = workspace.tanh_channel;
   v2c.resize(n_edges);
   c2v.resize(n_edges);
   tanh_half.resize(n_edges);
@@ -71,13 +73,41 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
   result.iterations = 0;
   result.converged = false;
 
-  // Initial variable-to-check messages are the channel LLRs.
-  for (std::size_t e = 0; e < n_edges; ++e) {
-    v2c[e] = channel_llr[edge_var_[e]];
-  }
-
   const double clip = options.llr_clip;
   auto clipped = [clip](double x) { return std::clamp(x, -clip, clip); };
+
+  // Saturated messages take one of four values, each computed once per
+  // decode. A clamp returns its bound itself, so a message equal to
+  // +-clip bit for bit feeds tanh the same argument as the bound does
+  // (bits, not ==, so -0.0 and +0.0 stay apart at clip = 0).
+  const std::uint64_t clip_hi_bits = std::bit_cast<std::uint64_t>(clip);
+  const std::uint64_t clip_lo_bits = std::bit_cast<std::uint64_t>(-clip);
+  const double tanh_hi = std::tanh(0.5 * clip);
+  const double tanh_lo = std::tanh(0.5 * -clip);
+  const auto half_tanh = [&](double x) {
+    const double c = clipped(x);
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(c);
+    if (bits == clip_hi_bits) return tanh_hi;
+    if (bits == clip_lo_bits) return tanh_lo;
+    return std::tanh(0.5 * c);
+  };
+  constexpr double kTanhMax = 0.9999999999;
+  const double c2v_hi = clipped(2.0 * std::atanh(kTanhMax));
+  const double c2v_lo = clipped(2.0 * std::atanh(-kTanhMax));
+
+  // Initial variable-to-check messages are the channel LLRs. Sum-product
+  // reads them only through tanh, and every edge of a variable carries
+  // the same one, so iteration 1 takes one tanh per variable instead.
+  if (options.min_sum) {
+    for (std::size_t e = 0; e < n_edges; ++e) {
+      v2c[e] = channel_llr[edge_var_[e]];
+    }
+  } else {
+    tanh_channel.resize(n_vars_);
+    for (std::size_t v = 0; v < n_vars_; ++v) {
+      tanh_channel[v] = half_tanh(channel_llr[v]);
+    }
+  }
   const auto syndrome_matches = [&] {
     for (std::size_t c = 0; c < n_checks_; ++c) {
       std::uint8_t parity = 0;
@@ -132,7 +162,8 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
         double prod = target_sign;
         bool saturated = false;
         for (std::uint32_t e = begin; e < end; ++e) {
-          const double t = std::tanh(0.5 * clipped(v2c[e]));
+          const double t =
+              iter == 1 ? tanh_channel[edge_var_[e]] : half_tanh(v2c[e]);
           tanh_half[e] = t;
           if (std::abs(t) < 1e-12) saturated = true;
           prod *= t;
@@ -149,8 +180,14 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
               t_out *= tanh_half[e2];
             }
           }
-          t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
-          c2v[e] = clipped(2.0 * std::atanh(t_out));
+          t_out = std::clamp(t_out, -kTanhMax, kTanhMax);
+          if (t_out == kTanhMax) {
+            c2v[e] = c2v_hi;
+          } else if (t_out == -kTanhMax) {
+            c2v[e] = c2v_lo;
+          } else {
+            c2v[e] = clipped(2.0 * std::atanh(t_out));
+          }
         }
       }
     }

@@ -52,6 +52,24 @@ std::vector<ShiftSet> draw_shift_table(const BaseMatrix& base,
   return table;
 }
 
+/// The girth BFS starts of a lifted code: column c * N, the first
+/// column of base column c's block, for each base column c.
+///
+/// Every circulant maps row i of its block to column (i + shift) mod N,
+/// so rotating each N-block of rows and of columns by one is an
+/// automorphism of the Tanner graph. It carries any cycle onto one
+/// through the first column of a block its variables lie in. In an
+/// LDPC-CC, section t repeats section 0's circulants t blocks further
+/// on, so shifting a cycle back by the earliest section its variables
+/// lie in is a cycle too, through section 0. A BFS from these starts
+/// alone therefore finds the girth that a BFS from every column finds.
+std::vector<std::size_t> girth_starts(std::size_t base_cols,
+                                      std::size_t lifting) {
+  std::vector<std::size_t> starts(base_cols);
+  for (std::size_t c = 0; c < base_cols; ++c) starts[c] = c * lifting;
+  return starts;
+}
+
 SparseBinaryMatrix lift_block(const BaseMatrix& base, std::size_t lifting,
                               const std::vector<ShiftSet>& table) {
   SparseBinaryMatrix h(base.rows() * lifting, base.cols() * lifting);
@@ -71,11 +89,12 @@ QcLdpcBlockCode::QcLdpcBlockCode(const BaseMatrix& base, std::size_t lifting,
     : base_(base), lifting_(lifting), h_(1, 1) {
   if (lifting == 0) throw std::invalid_argument("QcLdpcBlockCode: N >= 1");
   Rng rng(seed);
+  const std::vector<std::size_t> starts = girth_starts(base.cols(), lifting);
   std::size_t best_girth = 0;
   for (int trial = 0; trial < std::max(1, girth_trials); ++trial) {
     const auto table = draw_shift_table(base, lifting, rng);
     SparseBinaryMatrix candidate = lift_block(base, lifting, table);
-    const std::size_t g = candidate.girth();
+    const std::size_t g = candidate.girth_from(starts);
     if (g > best_girth) {
       best_girth = g;
       h_ = std::move(candidate);
@@ -101,6 +120,7 @@ LdpcConvolutionalCode::LdpcConvolutionalCode(EdgeSpreading spreading,
   Rng rng(seed);
   const std::size_t rows = (termination_ + mcc()) * nc() * lifting_;
   const std::size_t cols = termination_ * nv() * lifting_;
+  const std::vector<std::size_t> starts = girth_starts(nv(), lifting_);
 
   std::size_t best_girth = 0;
   for (int trial = 0; trial < std::max(1, girth_trials); ++trial) {
@@ -127,9 +147,9 @@ LdpcConvolutionalCode::LdpcConvolutionalCode(EdgeSpreading spreading,
         }
       }
     }
-    // Girth of the time-invariant structure shows up within a few
-    // sections; probing a truncated prefix keeps this cheap.
-    const std::size_t g = candidate.girth();
+    // By time invariance, a BFS from section 0's nv starts sees the
+    // girth of the whole terminated matrix (see girth_starts).
+    const std::size_t g = candidate.girth_from(starts);
     if (g > best_girth) {
       best_girth = g;
       h_ = std::move(candidate);

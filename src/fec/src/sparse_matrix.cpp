@@ -1,7 +1,7 @@
 #include "wi/fec/sparse_matrix.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 #include <stdexcept>
 
 namespace wi::fec {
@@ -63,25 +63,37 @@ bool SparseBinaryMatrix::in_null_space(
 }
 
 std::size_t SparseBinaryMatrix::girth(std::size_t max_girth) const {
-  // BFS from every variable node in the bipartite graph; the shortest
-  // cycle through a node v is found when BFS reaches a node by two
-  // distinct paths. Standard girth BFS with parent-edge tracking.
+  std::vector<std::size_t> starts(cols());
+  std::iota(starts.begin(), starts.end(), std::size_t{0});
+  return girth_from(starts, max_girth);
+}
+
+std::size_t SparseBinaryMatrix::girth_from(std::span<const std::size_t> starts,
+                                           std::size_t max_girth) const {
+  // BFS from each start variable in the bipartite graph; a cycle shows
+  // when BFS reaches a node by two distinct paths. Standard girth BFS
+  // with parent-edge tracking.
   const std::size_t n_var = cols();
   const std::size_t n_chk = rows();
   const std::size_t total = n_var + n_chk;  // vars first, then checks
   std::size_t best = max_girth + 2;
 
-  std::vector<int> dist(total);
+  // dist is -1 outside the current BFS: each BFS resets just the nodes
+  // it reached, which its queue lists. parent is set whenever dist is,
+  // so it needs no reset.
+  std::vector<int> dist(total, -1);
   std::vector<int> parent(total);
-  for (std::size_t start = 0; start < n_var; ++start) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::fill(parent.begin(), parent.end(), -1);
-    std::queue<std::size_t> queue;
+  std::vector<std::size_t> queue;
+  for (const std::size_t start : starts) {
+    if (start >= n_var) {
+      throw std::out_of_range("SparseBinaryMatrix::girth_from: not a column");
+    }
+    queue.clear();
     dist[start] = 0;
-    queue.push(start);
-    while (!queue.empty()) {
-      const std::size_t u = queue.front();
-      queue.pop();
+    parent[start] = -1;
+    queue.push_back(start);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::size_t u = queue[head];
       if (static_cast<std::size_t>(2 * dist[u]) >= best) break;
       const bool is_var = u < n_var;
       const auto& neighbors = is_var ? col_adj_[u] : row_adj_[u - n_var];
@@ -91,7 +103,7 @@ std::size_t SparseBinaryMatrix::girth(std::size_t max_girth) const {
         if (dist[v] == -1) {
           dist[v] = dist[u] + 1;
           parent[v] = static_cast<int>(u);
-          queue.push(v);
+          queue.push_back(v);
         } else {
           // Cycle found: length = dist[u] + dist[v] + 1 (odd walks can't
           // happen in a bipartite graph, so this is a genuine cycle).
@@ -101,6 +113,7 @@ std::size_t SparseBinaryMatrix::girth(std::size_t max_girth) const {
         }
       }
     }
+    for (const std::size_t node : queue) dist[node] = -1;
     if (best <= 4) break;  // cannot do better in a simple bipartite graph
   }
   return best;

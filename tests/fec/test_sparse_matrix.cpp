@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace wi::fec {
 namespace {
 
@@ -81,6 +84,24 @@ TEST(SparseMatrix, GirthOfTreeIsCapPlusTwo) {
   SparseBinaryMatrix h(1, 5);
   for (std::size_t c = 0; c < 5; ++c) h.insert(0, c);
   EXPECT_EQ(h.girth(12), 14u);
+}
+
+TEST(SparseMatrix, GirthFromSeesOnlyCyclesItsStartsReach) {
+  // A 4-cycle on columns 0-1 and a separate tree on columns 2-3.
+  SparseBinaryMatrix h(3, 4);
+  h.insert(0, 0);
+  h.insert(0, 1);
+  h.insert(1, 0);
+  h.insert(1, 1);
+  h.insert(2, 2);
+  h.insert(2, 3);
+  const std::vector<std::size_t> on_cycle = {1};
+  const std::vector<std::size_t> in_tree = {2, 3};
+  const std::vector<std::size_t> not_a_column = {4};
+  EXPECT_EQ(h.girth(), 4u);
+  EXPECT_EQ(h.girth_from(on_cycle), 4u);
+  EXPECT_EQ(h.girth_from(in_tree, 12), 14u);
+  EXPECT_THROW((void)h.girth_from(not_a_column), std::out_of_range);
 }
 
 }  // namespace

@@ -238,6 +238,61 @@ TEST(KernelIdentity, BpDecoderWorkspaceReusedAcrossCodeSizes) {
   }
 }
 
+/// BP options that reach every value BpDecoder::decode computes once
+/// and reuses: a small clip saturates most messages (tanh of +-clip, and
+/// the clamped leave-one-out products' atanh), max_iterations = 1 stops
+/// on the per-variable channel tanh alone.
+std::vector<wi::fec::BpOptions> saturating_options() {
+  std::vector<wi::fec::BpOptions> out;
+  for (const double clip : {30.0, 4.0, 1.0}) {
+    for (const int iterations : {1, 2, 20}) {
+      wi::fec::BpOptions options;
+      options.llr_clip = clip;
+      options.max_iterations = iterations;
+      out.push_back(options);
+    }
+  }
+  return out;
+}
+
+/// Channel LLRs with every fifth value moved exactly onto +-clip, and
+/// every seventh beyond it, either sign.
+std::vector<double> llrs_at_clip(std::size_t n, double clip,
+                                 std::uint64_t seed) {
+  auto llr = channel_llrs(n, 2.0, 0.5, seed);
+  for (std::size_t i = 0; i < n; i += 5) llr[i] = (i % 2) ? -clip : clip;
+  for (std::size_t i = 3; i < n; i += 7) {
+    llr[i] = (i % 3) ? 1.5 * clip : -4.0 * clip;
+  }
+  return llr;
+}
+
+TEST(KernelIdentity, BpDecoderSaturatedMessagesAndOneIteration) {
+  // One workspace throughout: the per-variable tanh array resizes as
+  // the code size changes under it.
+  wi::fec::BpWorkspace workspace;
+  for (const std::size_t lifting : {150u, 40u, 150u}) {
+    const auto& code = block_code(lifting);
+    const wi::fec::BpDecoder fast(code.parity_check());
+    const wi::perf_baseline::BpDecoder frozen(code.parity_check());
+    std::vector<std::uint8_t> parity(code.check_count());
+    wi::Rng rng(lifting);
+    for (auto& p : parity) p = rng.uniform() < 0.3 ? 1 : 0;
+    for (const wi::fec::BpOptions& options : saturating_options()) {
+      const auto at_clip =
+          llrs_at_clip(code.block_length(), options.llr_clip, lifting);
+      const auto noisy = channel_llrs(code.block_length(), 1.5, 0.5, 7);
+      for (const auto* llr : {&at_clip, &noisy}) {
+        expect_same_bp(fast.decode(*llr, options, nullptr, workspace),
+                       frozen.decode(*llr, options), "saturating");
+        expect_same_bp(fast.decode(*llr, options, &parity, workspace),
+                       frozen.decode(*llr, options, &parity),
+                       "saturating, parity");
+      }
+    }
+  }
+}
+
 void expect_same_window(const wi::fec::WindowDecodeResult& a,
                         const wi::fec::WindowDecodeResult& b,
                         const char* label) {
@@ -298,6 +353,129 @@ TEST(KernelIdentity, WindowDecoderWorkspaceReusedAcrossCodes) {
                                   code->rate_asymptotic(), code->lifting());
     expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
                        "reused workspace");
+  }
+}
+
+TEST(KernelIdentity, WindowDecoderSaturatedMessagesAndOneIteration) {
+  const wi::fec::LdpcConvolutionalCode small(
+      wi::fec::EdgeSpreading::paper_example(), 25, 8, 25);
+  const wi::fec::LdpcConvolutionalCode large(
+      wi::fec::EdgeSpreading::paper_example(), 40, 10, 40);
+  wi::fec::WindowWorkspace workspace;
+  for (const auto* code : {&large, &small}) {
+    for (const wi::fec::BpOptions& options : saturating_options()) {
+      const wi::fec::WindowDecoder fast(*code, 4, options);
+      const wi::perf_baseline::WindowDecoder frozen(*code, 4, options);
+      const auto llr = llrs_at_clip(code->codeword_length(),
+                                    options.llr_clip, code->lifting());
+      expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
+                         "saturating window");
+    }
+  }
+}
+
+// --- LDPC code construction --------------------------------------------
+
+/// The girth BFS starts the lifted codes use: column c * N per base
+/// column c.
+std::vector<std::size_t> block_starts(std::size_t base_cols,
+                                      std::size_t lifting) {
+  std::vector<std::size_t> starts;
+  for (std::size_t c = 0; c < base_cols; ++c) starts.push_back(c * lifting);
+  return starts;
+}
+
+/// An irregular 3x4 protograph: base columns of degree 2, 4, 2 and 4.
+wi::fec::BaseMatrix irregular_base() {
+  return wi::fec::BaseMatrix({{1, 1, 1, 1}, {1, 2, 0, 1}, {0, 1, 1, 2}});
+}
+
+void expect_same_girths(const wi::fec::SparseBinaryMatrix& h,
+                        const std::vector<std::size_t>& starts,
+                        const char* label, std::size_t lifting,
+                        std::uint64_t seed) {
+  for (const std::size_t max_girth : {4u, 6u, 8u, 12u}) {
+    EXPECT_EQ(h.girth_from(starts, max_girth),
+              wi::perf_baseline::girth_all_starts(h, max_girth))
+        << label << " N=" << lifting << " seed=" << seed
+        << " max_girth=" << max_girth;
+  }
+}
+
+TEST(KernelIdentity, GirthFromOneColumnPerBaseColumnMatchesAllStarts) {
+  // Rotating every circulant block and (for LDPC-CC) shifting back in
+  // time are automorphisms, so one BFS start per base column sees the
+  // same girth as one per column. Each lifting here is the first
+  // candidate its constructor draws (girth_trials = 1).
+  const auto spreading = wi::fec::EdgeSpreading::paper_example();
+  for (std::size_t n = 4; n <= 40; ++n) {
+    for (const std::size_t l : {3u, 5u, 10u}) {
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const wi::fec::LdpcConvolutionalCode code(spreading, n, l, seed, 1);
+        expect_same_girths(code.parity_check(), block_starts(code.nv(), n),
+                           "LDPC-CC", n, seed);
+      }
+    }
+  }
+  const wi::fec::BaseMatrix regular({{4, 4}});
+  const wi::fec::BaseMatrix irregular = irregular_base();
+  for (const auto* base : {&regular, &irregular}) {
+    for (std::size_t n = 4; n <= 40; ++n) {
+      for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        const wi::fec::QcLdpcBlockCode code(*base, n, seed, 1);
+        expect_same_girths(code.parity_check(),
+                           block_starts(base->cols(), n), "QC-LDPC", n, seed);
+      }
+    }
+  }
+}
+
+void expect_same_matrix(const wi::fec::SparseBinaryMatrix& a,
+                        const wi::fec::SparseBinaryMatrix& b,
+                        const char* label, std::size_t lifting) {
+  ASSERT_EQ(a.rows(), b.rows()) << label << " N=" << lifting;
+  ASSERT_EQ(a.cols(), b.cols()) << label << " N=" << lifting;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    ASSERT_EQ(a.row(r), b.row(r)) << label << " N=" << lifting << " row " << r;
+  }
+}
+
+TEST(KernelIdentity, CodeConstructionMatchesAllStarts) {
+  // The liftings, terminations and seeds of fig10_ldpc_latency (L = 24)
+  // and of the ldpc benchmark (L = 10).
+  const auto spreading = wi::fec::EdgeSpreading::paper_example();
+  const wi::fec::BaseMatrix regular({{4, 4}});
+  for (const std::size_t n : {25u, 40u, 60u}) {
+    for (const std::size_t l : {10u, 24u}) {
+      const wi::fec::LdpcConvolutionalCode code(spreading, n, l, n);
+      expect_same_matrix(
+          code.parity_check(),
+          wi::perf_baseline::ldpc_cc_parity_check(spreading, n, l, n),
+          "LDPC-CC", n);
+    }
+  }
+  for (const std::size_t n : {100u, 150u, 200u, 300u, 400u}) {
+    const wi::fec::QcLdpcBlockCode code(regular, n, n);
+    expect_same_matrix(code.parity_check(),
+                       wi::perf_baseline::qc_block_parity_check(regular, n, n),
+                       "LDPC-BC", n);
+  }
+  // Small liftings, where candidates' girths differ and every start
+  // column counts; an irregular base has base columns of unlike degree.
+  const wi::fec::BaseMatrix irregular = irregular_base();
+  for (std::size_t n = 4; n <= 24; ++n) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      expect_same_matrix(
+          wi::fec::LdpcConvolutionalCode(spreading, n, 5, seed).parity_check(),
+          wi::perf_baseline::ldpc_cc_parity_check(spreading, n, 5, seed),
+          "small LDPC-CC", n);
+      for (const auto* base : {&regular, &irregular}) {
+        expect_same_matrix(
+            wi::fec::QcLdpcBlockCode(*base, n, seed).parity_check(),
+            wi::perf_baseline::qc_block_parity_check(*base, n, seed),
+            "small QC-LDPC", n);
+      }
+    }
   }
 }
 
