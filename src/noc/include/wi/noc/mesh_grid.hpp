@@ -48,13 +48,20 @@ class MeshGrid {
   /// Precondition: at != dst, both valid router indices.
   [[nodiscard]] std::uint8_t next_port(std::size_t at,
                                        std::size_t dst) const {
+    // Selects, not early returns: the first mismatched dimension picks
+    // the field mask and the direction pair, and the masked fields
+    // compare in place (they share an alignment).
     const std::uint32_t a = packed_[at];
     const std::uint32_t b = packed_[dst];
-    const std::uint32_t ax = a & 0x3FF, bx = b & 0x3FF;
-    if (ax != bx) return dir_port_[at * 6 + (bx > ax ? kPlusX : kMinusX)];
-    const std::uint32_t ay = (a >> 10) & 0x3FF, by = (b >> 10) & 0x3FF;
-    if (ay != by) return dir_port_[at * 6 + (by > ay ? kPlusY : kMinusY)];
-    return dir_port_[at * 6 + (((b >> 20) > (a >> 20)) ? kPlusZ : kMinusZ)];
+    const std::uint32_t diff = a ^ b;
+    const bool x_differs = (diff & 0x3FFu) != 0;
+    const bool y_differs = (diff & (0x3FFu << 10)) != 0;
+    const std::uint32_t field =
+        x_differs ? 0x3FFu : y_differs ? 0x3FFu << 10 : 0x3FFu << 20;
+    const std::size_t minus = x_differs ? kMinusX : y_differs ? kMinusY
+                                                              : kMinusZ;
+    const std::size_t plus = (b & field) > (a & field) ? 1 : 0;
+    return dir_port_[at * 6 + minus + plus];
   }
 
   [[nodiscard]] std::size_t router_count() const { return packed_.size(); }

@@ -6,25 +6,24 @@
 ///
 /// Two representations share one value type:
 ///
-/// * **Dense**: an explicit modules x modules probability matrix
-///   (`probability(s, d)` is one load). This is the original
-///   representation; every committed golden was produced through it and
-///   the factories below build byte-identical matrices.
 /// * **Implicit**: an analytic pattern (uniform, transpose,
-///   bit-complement, hotspot, tornado) holding O(1) state. Destination
+///   bit-complement, hotspot, tornado) holding O(1) state — what every
+///   scenario builds (`sim::NocSpec::build_traffic`). Destination
 ///   sampling is closed-form — an exact integer-space bounded draw on
-///   the same `Rng::raw()` stream the dense CDF sampler consumes — so a
-///   32x32x32-router mesh needs no 8.6 GB CDF array. `probability()`
-///   still answers exactly (the analytic value the dense twin's
-///   normalised matrix would hold), which keeps the analytic queueing
-///   model and validation code representation-agnostic.
+///   `Rng::raw()` — so a 32x32x32-router mesh needs no 8.6 GB CDF array.
+///   `probability()` answers exactly (the analytic value the dense
+///   twin's normalised matrix would hold), which keeps the analytic
+///   queueing model and validation code representation-agnostic.
+/// * **Dense**: an explicit modules x modules probability matrix
+///   (`probability(s, d)` is one load), from the explicit-matrix
+///   constructor or the dense factories, which stay as the implicit
+///   patterns' differential oracles. The simulators sample a dense
+///   pattern through its CDF.
 ///
-/// The simulators auto-select: dense patterns take the CDF path
-/// (bit-identical to every committed golden), implicit patterns take
-/// `sample()`. For the permutation patterns (transpose, bit-complement,
-/// tornado) `sample()` consumes exactly one raw draw per hit — the same
-/// count as the dense CDF sampler — so dense and implicit runs of a
-/// permutation pattern are bit-identical, not just statistically equal.
+/// For the permutation patterns (transpose, bit-complement, tornado)
+/// `sample()` consumes exactly one raw draw per hit — the same count as
+/// the dense CDF sampler — so dense and implicit runs of a permutation
+/// pattern are bit-identical, not just statistically equal.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,7 +49,7 @@ enum class TrafficPatternKind {
 class TrafficPattern {
  public:
   // --- dense factories (byte-identical matrices to the original
-  // implementation; all committed goldens flow through these) ---
+  // implementation; the differential oracles of the implicit ones) ---
 
   /// Global uniform: every other module equally likely.
   [[nodiscard]] static TrafficPattern uniform(std::size_t modules);

@@ -37,9 +37,10 @@
 ///    << 63) that travels unchanged hop to hop, and source FIFOs hold
 ///    the same meta words. The round-robin arbitration pointer advances
 ///    exactly once per router per cycle, so it is derived as cycle mod
-///    n_inputs, and on the (ubiquitous) all-bandwidth-1 topologies the
-///    per-output budgets collapse to one u32 mask held in a register for
-///    the whole turn. The packing caps the simulator at 2^26 routers,
+///    n_inputs (a table filled once per cycle for the distinct input
+///    counts), and a turn is one pass over a rotated ready mask. On the
+///    (ubiquitous) all-bandwidth-1 topologies the per-output budgets
+///    collapse to one u32 mask held in a register for the whole turn. The packing caps the simulator at 2^26 routers,
 ///    2^37 total cycles, and 2^16-1 buffer depth.
 
 #include "wi/noc/flit_sim.hpp"
@@ -79,24 +80,6 @@ constexpr unsigned kCycBits = 37;
 constexpr u64 kCycMask = (u64{1} << kCycBits) - 1;
 constexpr unsigned kDstBits = 26;
 constexpr u32 kDstMask = (u32{1} << kDstBits) - 1;
-
-/// cycle mod n_inputs with compiler-strength-reduced constants for the
-/// small port counts every mesh router has (the hot path runs this once
-/// per turn; a hardware 64-bit division would dominate small turns).
-inline u32 fast_mod(u64 c, u32 n) {
-  switch (n) {
-    case 1: return 0;
-    case 2: return static_cast<u32>(c & 1);
-    case 3: return static_cast<u32>(c % 3);
-    case 4: return static_cast<u32>(c & 3);
-    case 5: return static_cast<u32>(c % 5);
-    case 6: return static_cast<u32>(c % 6);
-    case 7: return static_cast<u32>(c % 7);
-    case 8: return static_cast<u32>(c & 7);
-    case 9: return static_cast<u32>(c % 9);
-    default: return static_cast<u32>(c % n);
-  }
-}
 
 /// (router, dst_router) -> local output port, one byte per pair (the
 /// port alone recovers link and downstream ring through the per-router
@@ -204,6 +187,7 @@ class EventCore {
   template <bool BW1, bool GRID>
   void run_cycles();
   [[nodiscard]] u64 next_work(u64 c) const;
+  void round_robin_at(u64 c);
   void apply_faults_at(u64 cycle);
   void rebuild_live_ports();
 
@@ -235,6 +219,11 @@ class EventCore {
   std::vector<int> budget_template_;
   std::vector<int> budget_;  ///< per-turn scratch (bandwidth > 1 only)
   std::vector<u32> n_inputs_;
+  // Round-robin start per input count: rr_start_[n] = rr_cycle_ mod n,
+  // kept for the distinct counts in rr_counts_ (a handful on a mesh).
+  std::vector<u32> rr_counts_;
+  std::vector<u32> rr_start_;
+  u64 rr_cycle_ = 0;
   // All-links-bandwidth-1 fast path: the per-turn budget array becomes
   // a per-router bitmask of outputs that may still send this cycle.
   bool bw1_ = false;
@@ -426,6 +415,11 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
     }
     chin_off_[routers_] = rid;
   }
+  rr_counts_ = n_inputs_;
+  std::sort(rr_counts_.begin(), rr_counts_.end());
+  rr_counts_.erase(std::unique(rr_counts_.begin(), rr_counts_.end()),
+                   rr_counts_.end());
+  rr_start_.assign(rr_counts_.empty() ? 1 : rr_counts_.back() + 1, 0);
   for (size_t i = 0; i < out_rd_.size(); ++i) {
     out_rd_[i] |= ring_of_link_[out_link[i]];
   }
@@ -591,10 +585,10 @@ void EventCore::turn(const u32 r, const u64 c) {
   }
   int eject_budget = 1;
   const u32 n_in = n_inputs_[r];
-  const u32 start = fast_mod(c, n_in);
+  const u32 start = rr_start_[n_in];
   const u8* prow = GRID ? nullptr : pt + static_cast<size_t>(r) * nrouters;
   const size_t cb = chin_off_[r];
-  const size_t ce = chin_off_[r + 1];
+  SourceQueue& source = src_[r];
 
   /// Append flit record m to the ring named by rd (= ring | owner
   /// router << 32) whose pre-checked cursor word is hs2. The caller has
@@ -621,95 +615,9 @@ void EventCore::turn(const u32 r, const u64 c) {
     if (!(hs2 >> 16)) hr[drid] = ready;
     wheel[(ready & wmask) * words + (owner >> 6)] |= u64{1} << (owner & 63);
   };
-
-  // One round-robin pass = rings [start-1, n_in-1), the injection
-  // queue, then rings [0, start-1) — i.e. the rotation start, start+1,
-  // ..., n_in-1, 0, 1, ..., start-1 with the injection queue at
-  // rotational position 0. `open` goes false once every output budget
-  // and the eject budget are spent: no later input can move anything,
-  // so the rest of the pass is skipped (only valid in clean mode — a
-  // fault-era head with a dead route is consumed without budget, so
-  // those passes run to the end).
-  bool open = true;
-  const auto drain_rings = [&](size_t lo, size_t hi) {
-    for (size_t base = lo; base < hi && open; base += 64) {
-      // Branchless ready-set gather: hr_ for this router's rings is
-      // contiguous, so the readiness tests issue in parallel instead of
-      // serialising one dependent-load chain per ring.
-      const size_t n = std::min<size_t>(hi - base, 64);
-      u64 rmask = 0;
-      for (size_t j = 0; j < n; ++j) {
-        rmask |= static_cast<u64>(hr[base + j] <= c) << j;
-      }
-      while (rmask) {
-        const size_t rid = base + static_cast<size_t>(std::countr_zero(rmask));
-        rmask &= rmask - 1;
-        for (;;) {
-          const u32 hs = qhs[rid];
-          const size_t si = (rid << csh) + (hs & 0xFFFFu);
-          const u8 p = pp[si];
-          if (p < kEject) {
-            if constexpr (BW1) {
-              if (!((obud >> p) & 1u)) break;
-            } else {
-              if (bud[p] <= 0) break;
-            }
-            const u64 rd = ord[ob + p];
-            const u32 hs2 = qhs[static_cast<u32>(rd)];
-            if ((hs2 >> 16) >= dep) break;
-            if constexpr (BW1) {
-              obud &= ~(u32{1} << p);
-            } else {
-              --bud[p];
-            }
-            push_flit(rd, hs2, f[si * 2 + 1]);
-          } else if (p == kEject) {
-            if (eject_budget <= 0) break;
-            --eject_budget;
-            const u64 m = f[si * 2 + 1];
-            if (m >> 63) {
-              ++delivered_;
-              latency_ += c + del - (m & kCycMask);
-            }
-          } else [[unlikely]] {
-            const u64 m = f[si * 2 + 1];
-            drop_unroutable(r, static_cast<u32>(m >> kCycBits) & kDstMask,
-                            (m >> 63) != 0, p);
-          }
-          // pop
-          const u32 nh = ((hs & 0xFFFFu) + 1) & cmask;
-          const u32 size = (hs >> 16) - 1;
-          qhs[rid] = nh | (size << 16);
-          if (!size) {
-            hr[rid] = kNever;
-            break;
-          }
-          const u64 nr = f[((rid << csh) + nh) * 2];
-          hr[rid] = nr;
-          if (nr > c) break;
-        }
-        if constexpr (BW1) {
-          if (!chaos && obud == 0 && eject_budget <= 0) {
-            open = false;
-            break;
-          }
-        }
-      }
-    }
-  };
-  /// Offer the source-queue record m (destination dstr). Returns false
-  /// when the source must stall; consumes the record otherwise (pushed,
-  /// or dropped unreachable in fault mode).
-  const auto try_inject = [&](u32 dstr, u64 m) -> bool {
-    const u8 p = GRID ? grid->next_port(r, dstr) : prow[dstr];
-    if constexpr (!GRID) {
-      // A full regular mesh always routes, so only the dense table can
-      // hold failed/unused markers.
-      if (p >= kFailedPort) {
-        drop_unroutable(r, dstr, (m >> 63) != 0, p);
-        return true;
-      }
-    }
+  /// Move one flit (meta m) out through output port p. False when the
+  /// port's budget is spent or its downstream ring is full.
+  const auto forward = [&](u8 p, u64 m) -> bool {
     if constexpr (BW1) {
       if (!((obud >> p) & 1u)) return false;
     } else {
@@ -726,40 +634,117 @@ void EventCore::turn(const u32 r, const u64 c) {
     push_flit(rd, hs2, m);
     return true;
   };
-  SourceQueue& source = src_[r];
-  const auto drain_injection = [&] {
-    if (!open) return;
-    while (!source.empty()) {
-      const u64 e = source.front();
-      const u32 dstr = static_cast<u32>(e >> kCycBits) & kDstMask;
-      if (dstr == r) {
-        if (eject_budget <= 0) break;
-        --eject_budget;
-        if (e >> 63) {
-          ++delivered_;
-          latency_ += c + del - (e & kCycMask);
+  /// Eject a flit (meta m) at this router. False when the eject budget
+  /// is spent.
+  const auto eject = [&](u64 m) -> bool {
+    if (eject_budget <= 0) return false;
+    --eject_budget;
+    if (m >> 63) {
+      ++delivered_;
+      latency_ += c + del - (m & kCycMask);
+    }
+    return true;
+  };
+  /// Drain ready input i — 0 is the injection queue, i >= 1 is input
+  /// ring cb + i - 1 — until it empties, its head is not ready yet, or
+  /// the head blocks. Returns true when the head blocked (on a spent
+  /// output or eject budget, or a full downstream ring): it is still
+  /// ready and retries next cycle.
+  const auto drain_input = [&](u32 i) -> bool {
+    if (i == 0) {
+      do {
+        const u64 e = source.front();
+        const u32 dstr = static_cast<u32>(e >> kCycBits) & kDstMask;
+        if (dstr == r) {
+          if (!eject(e)) return true;
+        } else {
+          const u8 p = GRID ? grid->next_port(r, dstr) : prow[dstr];
+          // A full regular mesh always routes, so only the dense table
+          // can hold failed/unused markers.
+          if (!GRID && p >= kFailedPort) {
+            drop_unroutable(r, dstr, (e >> 63) != 0, p);
+          } else if (!forward(p, e)) {
+            return true;
+          }
         }
-      } else if (!try_inject(dstr, e)) {
-        break;
+        source.pop();
+      } while (!source.empty());
+      return false;
+    }
+    const size_t rid = cb + i - 1;
+    for (;;) {
+      const u32 hs = qhs[rid];
+      const size_t si = (rid << csh) + (hs & 0xFFFFu);
+      const u8 p = pp[si];
+      const u64 m = f[si * 2 + 1];
+      if (p < kEject) {
+        if (!forward(p, m)) return true;
+      } else if (p == kEject) {
+        if (!eject(m)) return true;
+      } else [[unlikely]] {
+        drop_unroutable(r, static_cast<u32>(m >> kCycBits) & kDstMask,
+                        (m >> 63) != 0, p);
       }
-      source.pop();
+      const u32 nh = ((hs & 0xFFFFu) + 1) & cmask;
+      const u32 size = (hs >> 16) - 1;
+      qhs[rid] = nh | (size << 16);
+      if (!size) {
+        hr[rid] = kNever;
+        return false;
+      }
+      const u64 nr = f[((rid << csh) + nh) * 2];
+      hr[rid] = nr;
+      if (nr > c) return false;
     }
   };
-  if (start == 0) {
-    drain_injection();
-    drain_rings(cb, ce);
-  } else {
-    drain_rings(cb + start - 1, ce);
-    drain_injection();
-    drain_rings(cb, cb + start - 1);
-  }
 
-  // End-of-turn retry: an offer still queued or a ready head still in
-  // its ring was blocked, so it polls next cycle. Heads that become
-  // ready later already hold the wake their push scheduled.
-  bool retry = !source.empty();
-  for (size_t rid = cb; rid < ce && !retry; ++rid) retry = hr[rid] <= c;
-  if (retry) {
+  // One round-robin pass visits the ready inputs in the rotation start,
+  // start+1, ..., n_in-1, 0, ..., start-1, 64 at a time: bit k of
+  // `ready` is input (start + base + k) mod n_in, and one chunk is the
+  // whole pass on a router with at most 63 input links. An input's
+  // readiness cannot change before its visit (a push lands at
+  // c + delay > c), so a chunk's ready set is gathered up front. The
+  // router retries at c + 1 exactly when an input blocked, or when a
+  // ready input went unvisited because every budget ran out: every
+  // other input ended empty or waiting on a flit whose push already
+  // scheduled its wake.
+  bool wake = false;
+  for (u32 base = 0; base < n_in; base += 64) {
+    u64 ready = 0;
+    if (n_in <= 64) {
+      ready = source.empty() ? 0 : 1;
+      for (u32 j = 1; j < n_in; ++j) {
+        ready |= static_cast<u64>(hr[cb + j - 1] <= c) << j;
+      }
+      if (start != 0) {
+        ready = ((ready >> start) | (ready << (n_in - start))) &
+                (~u64{0} >> (64 - n_in));
+      }
+    } else {
+      // Wider routers exist only in topologies built through the API.
+      for (u32 k = base; k < n_in && k < base + 64; ++k) {
+        const u32 i = start + k < n_in ? start + k : start + k - n_in;
+        const bool ok = i == 0 ? !source.empty() : hr[cb + i - 1] <= c;
+        ready |= static_cast<u64>(ok) << (k - base);
+      }
+    }
+    while (ready) {
+      u32 i = start + base + static_cast<u32>(std::countr_zero(ready));
+      if (i >= n_in) i -= n_in;
+      ready &= ready - 1;
+      wake |= drain_input(i);
+      if constexpr (BW1) {
+        // With every budget spent no later input can move anything (a
+        // fault-era head with a dead route is consumed without budget,
+        // so fault runs visit every input).
+        if (n_in <= 64 && !chaos && obud == 0 && eject_budget <= 0) {
+          wake |= ready != 0;
+          break;
+        }
+      }
+    }
+  }
+  if (wake) {
     const u64 t = c + 1;
     wheel[(t & wmask) * words + (r >> 6)] |= u64{1} << (r & 63);
   }
@@ -784,6 +769,18 @@ u64 EventCore::next_work(const u64 c) const {
   return t;
 }
 
+void EventCore::round_robin_at(const u64 c) {
+  // The arbitration pointer advances once per router per cycle, so a
+  // router with n inputs starts its pass at c mod n. Consecutive cycles
+  // step every start by one; a jump over idle cycles recomputes.
+  const bool step = c == rr_cycle_ + 1;
+  for (const u32 n : rr_counts_) {
+    u32& s = rr_start_[n];
+    s = step ? (s + 1 == n ? 0 : s + 1) : static_cast<u32>(c % n);
+  }
+  rr_cycle_ = c;
+}
+
 template <bool BW1, bool GRID>
 void EventCore::run_cycles() {
   u64 c = 0;
@@ -795,6 +792,7 @@ void EventCore::run_cycles() {
       apply_faults_at(c);
     }
     if (c < inj_end_) draw_injections(c);
+    round_robin_at(c);
     u64* slot = &wheel_[(c & wmask_) * words_];
     for (size_t w = 0; w < words_; ++w) {
       u64 bits = slot[w];

@@ -110,21 +110,12 @@ enum class TrafficKind {
 };
 enum class RoutingKind { kDimensionOrder, kShortestPath };
 
-/// Traffic-pattern representation. kDense materialises the classic
-/// modules x modules probability matrix (the path every committed
-/// golden was produced through); kImplicit builds the O(1)-state
-/// analytic pattern with closed-form destination sampling — required
-/// for big meshes where the matrix/CDF alone would be gigabytes (a
-/// 32x32x32-router mesh needs ~8.6 GB dense, ~0 implicit).
-enum class TrafficMode { kDense, kImplicit };
-
 /// NoC system description shared by the NoC-evaluating workloads
 /// (noc_latency, flit_sim, noc_saturation): topology, traffic pattern,
 /// routing and the analytic queueing-model parameters.
 struct NocSpec {
   TopologySpec topology;
   TrafficKind traffic = TrafficKind::kUniform;
-  TrafficMode traffic_mode = TrafficMode::kDense;
   std::size_t hotspot_module = 0;
   double hotspot_fraction = 0.2;
   RoutingKind routing = RoutingKind::kDimensionOrder;
@@ -144,7 +135,9 @@ struct NocSpec {
   [[nodiscard]] Status validate_des_delay(
       const std::string& scenario_name) const;
 
-  /// Materialise the traffic pattern for `modules` modules.
+  /// Materialise the traffic pattern for `modules` modules: always the
+  /// O(1)-state analytic pattern with closed-form destination sampling
+  /// (a 32x32x32-router mesh would need ~8.6 GB as a dense matrix).
   [[nodiscard]] noc::TrafficPattern build_traffic(std::size_t modules) const;
 
   /// Materialise the routing algorithm.

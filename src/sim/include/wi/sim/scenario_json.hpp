@@ -42,7 +42,6 @@ namespace wi::sim {
 [[nodiscard]] const char* phy_receiver_name(core::PhyReceiver value);
 [[nodiscard]] const char* topology_kind_name(TopologySpec::Kind value);
 [[nodiscard]] const char* traffic_kind_name(TrafficKind value);
-[[nodiscard]] const char* traffic_mode_name(TrafficMode value);
 [[nodiscard]] const char* routing_kind_name(RoutingKind value);
 
 }  // namespace wi::sim

@@ -90,11 +90,6 @@ inline constexpr EnumEntry<TrafficKind> kTrafficKinds[] = {
     {TrafficKind::kTornado, "tornado"},
 };
 
-inline constexpr EnumEntry<TrafficMode> kTrafficModes[] = {
-    {TrafficMode::kDense, "dense"},
-    {TrafficMode::kImplicit, "implicit"},
-};
-
 inline constexpr EnumEntry<RoutingKind> kRoutingKinds[] = {
     {RoutingKind::kDimensionOrder, "dimension_order"},
     {RoutingKind::kShortestPath, "shortest_path"},

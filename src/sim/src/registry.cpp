@@ -368,7 +368,6 @@ namespace {
         "uniform traffic and computed mesh routing (O(routers) memory)",
         mesh3d);
     spec.workload = "flit_sim";
-    spec.noc.traffic_mode = TrafficMode::kImplicit;
     auto& flit = spec.payload<FlitSimSpec>();
     flit.injection_rates = {0.005, 0.01};
     flit.warmup_cycles = 500;
@@ -391,7 +390,6 @@ namespace {
         mesh2d);
     spec.workload = "flit_sim";
     spec.noc.traffic = TrafficKind::kHotspot;
-    spec.noc.traffic_mode = TrafficMode::kImplicit;
     spec.noc.hotspot_module = 136;  // router (8, 8): mesh centre
     spec.noc.hotspot_fraction = 0.1;
     auto& flit = spec.payload<FlitSimSpec>();
@@ -412,7 +410,6 @@ namespace {
         mesh2d);
     spec.workload = "flit_sim";
     spec.noc.traffic = TrafficKind::kTranspose;
-    spec.noc.traffic_mode = TrafficMode::kImplicit;
     auto& flit = spec.payload<FlitSimSpec>();
     flit.injection_rates = {0.02, 0.05};
     flit.warmup_cycles = 1000;

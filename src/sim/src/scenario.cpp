@@ -137,28 +137,19 @@ Status NocSpec::validate_des_delay(const std::string& scenario_name) const {
 }
 
 noc::TrafficPattern NocSpec::build_traffic(std::size_t modules) const {
-  const bool implicit = traffic_mode == TrafficMode::kImplicit;
   switch (traffic) {
     case TrafficKind::kUniform:
-      return implicit ? noc::TrafficPattern::implicit_uniform(modules)
-                      : noc::TrafficPattern::uniform(modules);
+      return noc::TrafficPattern::implicit_uniform(modules);
     case TrafficKind::kTranspose:
-      return implicit ? noc::TrafficPattern::implicit_transpose(modules)
-                      : noc::TrafficPattern::transpose(modules);
+      return noc::TrafficPattern::implicit_transpose(modules);
     case TrafficKind::kBitComplement:
-      return implicit ? noc::TrafficPattern::implicit_bit_complement(modules)
-                      : noc::TrafficPattern::bit_complement(modules);
+      return noc::TrafficPattern::implicit_bit_complement(modules);
     case TrafficKind::kHotspot:
-      return implicit ? noc::TrafficPattern::implicit_hotspot(
-                            modules, hotspot_module, hotspot_fraction)
-                      : noc::TrafficPattern::hotspot(modules, hotspot_module,
-                                                     hotspot_fraction);
+      return noc::TrafficPattern::implicit_hotspot(modules, hotspot_module,
+                                                   hotspot_fraction);
     case TrafficKind::kTornado:
-      return implicit
-                 ? noc::TrafficPattern::implicit_tornado(
-                       modules, topology.kx, topology.ky, topology.kz)
-                 : noc::TrafficPattern::tornado(modules, topology.kx,
-                                                topology.ky, topology.kz);
+      return noc::TrafficPattern::implicit_tornado(modules, topology.kx,
+                                                   topology.ky, topology.kz);
   }
   throw StatusError(
       Status(StatusCode::kUnsupported, "unknown traffic kind"));

@@ -19,9 +19,6 @@ const char* topology_kind_name(TopologySpec::Kind value) {
 const char* traffic_kind_name(TrafficKind value) {
   return enum_name(kTrafficKinds, value);
 }
-const char* traffic_mode_name(TrafficMode value) {
-  return enum_name(kTrafficModes, value);
-}
 const char* routing_kind_name(RoutingKind value) {
   return enum_name(kRoutingKinds, value);
 }
@@ -82,7 +79,6 @@ Json scenario_to_json(const ScenarioSpec& spec) {
     Json noc = Json::object();
     noc.set("topology", std::move(topology));
     noc.set("traffic", Json(traffic_kind_name(spec.noc.traffic)));
-    noc.set("traffic_mode", Json(traffic_mode_name(spec.noc.traffic_mode)));
     noc.set("hotspot_module",
             Json(static_cast<double>(spec.noc.hotspot_module)));
     noc.set("hotspot_fraction", Json(spec.noc.hotspot_fraction));
@@ -172,7 +168,6 @@ ScenarioSpec scenario_from_json(const Json& json) {
       tr.finish();
     });
     r.enumeration("traffic", kTrafficKinds, spec.noc.traffic);
-    r.enumeration("traffic_mode", kTrafficModes, spec.noc.traffic_mode);
     r.size("hotspot_module", spec.noc.hotspot_module);
     r.number("hotspot_fraction", spec.noc.hotspot_fraction);
     r.enumeration("routing", kRoutingKinds, spec.noc.routing);

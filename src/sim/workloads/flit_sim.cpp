@@ -95,11 +95,17 @@ class FlitSimRunner final : public WorkloadRunner {
     config.seed = flit.seed;
     std::vector<double> rates = flit.injection_rates;
     if (rates.empty()) rates = {0.05, 0.1, 0.15, 0.2};
-    for (const double rate : rates) {
-      const auto des =
-          simulate_network(topology, *routing, traffic, rate, config);
+    // Every rate runs the same seed into its own slot, so the table is
+    // the same at any thread count; a one-rate spec runs inline.
+    std::vector<noc::FlitSimResult> results(rates.size());
+    env.parallel_for(rates.size(), [&](std::size_t i) {
+      results[i] =
+          simulate_network(topology, *routing, traffic, rates[i], config);
+    });
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+      const noc::FlitSimResult& des = results[i];
       table.add_row(
-          {Table::num(rate, 3), Table::num(des.mean_latency_cycles, 4),
+          {Table::num(rates[i], 3), Table::num(des.mean_latency_cycles, 4),
            Table::num(des.delivered_per_cycle, 5),
            Table::num(static_cast<long long>(des.delivered)),
            Table::num(static_cast<long long>(des.injected)),

@@ -147,6 +147,41 @@ TEST(FlitSimOracle, SingleRouterMesh) {
   EXPECT_GT(got.delivered, 0u);
 }
 
+TEST(FlitSimOracle, RouterWithMoreThanSixtyThreeInputLinks) {
+  // A hub fed by 70 leaves: the hub's round-robin pass spans 71 inputs
+  // (70 links plus its injection queue), past one 64-bit ready mask.
+  // With a link back to every leaf the hub has 70 outputs (the budget
+  // array path); with one link back and a leaf ring carrying the rest,
+  // every router has at most two outputs (the one-word budget mask).
+  constexpr std::size_t kLeaves = 70;
+  for (const bool spoke_back : {true, false}) {
+    SCOPED_TRACE(spoke_back ? "hub links to every leaf" : "leaf ring");
+    Topology hub("hub", kLeaves + 1, 1, 1);
+    for (std::size_t r = 0; r <= kLeaves; ++r) {
+      hub.add_router({static_cast<int>(r), 0, 0});
+      hub.attach_module(r);
+    }
+    for (std::size_t leaf = 1; leaf <= kLeaves; ++leaf) {
+      hub.add_link({leaf, 0});
+      if (spoke_back) {
+        hub.add_link({0, leaf});
+      } else {
+        hub.add_link({leaf, leaf % kLeaves + 1});
+      }
+    }
+    if (!spoke_back) hub.add_link({0, 1});
+    const ShortestPathRouting routing;
+    const TrafficPattern traffic =
+        TrafficPattern::implicit_uniform(kLeaves + 1);
+    for (const double rate : {0.005, 0.05}) {
+      SCOPED_TRACE(testing::Message() << "rate " << rate);
+      const FlitSimResult got =
+          compare(hub, routing, traffic, rate, short_config(17));
+      EXPECT_GT(got.delivered, 0u);
+    }
+  }
+}
+
 TEST(FlitSimOracle, LinkDeathsMidRun) {
   const Topology t = Topology::mesh_2d(5, 3);
   const DimensionOrderRouting routing;

@@ -1,9 +1,10 @@
 /// \file test_fanout.cpp
 /// \brief WorkloadEnv::parallel_for under the engine's thread budget,
-///        and the ldpc_latency workload that fans its required-Eb/N0
-///        searches out with it: tables byte-identical at any thread
+///        the ldpc_latency workload that fans its required-Eb/N0
+///        searches out with it (tables byte-identical at any thread
 ///        count, failures reported as a Status, spec validation and the
-///        computed trend note.
+///        computed trend note), and flit_sim, which runs one task per
+///        injection rate.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +20,10 @@
 
 #include "wi/common/table_io.hpp"
 #include "wi/fec/ber.hpp"
+#include "wi/noc/flit_sim.hpp"
 #include "wi/sim/engine.hpp"
 #include "wi/sim/workload.hpp"
+#include "wi/sim/workloads/flit_sim.hpp"
 #include "wi/sim/workloads/ldpc_latency.hpp"
 
 namespace wi::sim {
@@ -371,6 +374,90 @@ TEST(LdpcTrendNote, NoteOfARunMatchesItsTable) {
   const std::string trend = ldpc_trend_note(r.table);
   ASSERT_GE(r.notes[0].size(), trend.size());
   EXPECT_EQ(r.notes[0].substr(r.notes[0].size() - trend.size()), trend);
+}
+
+// --- flit_sim ---------------------------------------------------------------
+
+/// A 4x4x4-mesh flit DES at four injection rates, from light load to
+/// saturation, shifted by `variant` so run_all specs differ.
+ScenarioSpec multi_rate_flit(std::size_t variant = 0) {
+  ScenarioSpec spec;
+  spec.name = "multi_rate_flit_" + std::to_string(variant);
+  spec.workload = "flit_sim";
+  spec.noc.topology.kind = TopologySpec::Kind::kMesh3d;
+  spec.noc.topology.kx = 4;
+  spec.noc.topology.ky = 4;
+  spec.noc.topology.kz = 4;
+  auto& flit = spec.payload<FlitSimSpec>();
+  flit.injection_rates = {0.05, 0.3, 0.5 + 0.05 * static_cast<double>(variant),
+                          0.9};
+  flit.warmup_cycles = 300;
+  flit.measure_cycles = 1500;
+  flit.drain_cycles = 1500;
+  flit.seed = 3 + variant;
+  return spec;
+}
+
+/// The rates one after another through simulate_network, the way the
+/// workload ran them before it fanned out.
+Table serial_flit_reference(const ScenarioSpec& spec) {
+  const auto& flit = spec.payload<FlitSimSpec>();
+  const noc::Topology topology = spec.noc.topology.build();
+  const auto routing = spec.noc.build_routing();
+  const noc::TrafficPattern traffic =
+      spec.noc.build_traffic(topology.module_count());
+  noc::FlitSimConfig config;
+  config.warmup_cycles = flit.warmup_cycles;
+  config.measure_cycles = flit.measure_cycles;
+  config.drain_cycles = flit.drain_cycles;
+  config.buffer_depth = flit.buffer_depth;
+  config.router_delay_cycles = spec.noc.model.router_delay_cycles;
+  config.seed = flit.seed;
+  Table table(workload_headers("flit_sim"));
+  for (const double rate : flit.injection_rates) {
+    const noc::FlitSimResult des =
+        simulate_network(topology, *routing, traffic, rate, config);
+    table.add_row(
+        {Table::num(rate, 3), Table::num(des.mean_latency_cycles, 4),
+         Table::num(des.delivered_per_cycle, 5),
+         Table::num(static_cast<long long>(des.delivered)),
+         Table::num(static_cast<long long>(des.injected)),
+         des.stable ? "yes" : "no"});
+  }
+  return table;
+}
+
+TEST(FlitSimFanOut, ByteIdenticalAtOneAndFourThreads) {
+  const ScenarioSpec spec = multi_rate_flit();
+  SimEngine one({1});
+  SimEngine four({4});
+  const RunResult a = one.run(spec);
+  const RunResult b = four.run(spec);
+  ASSERT_TRUE(a.ok()) << a.status.to_string();
+  ASSERT_TRUE(b.ok()) << b.status.to_string();
+  EXPECT_EQ(a.table.rows(), 4u);
+  EXPECT_EQ(to_csv(a.table), to_csv(b.table));
+  EXPECT_EQ(a.notes, b.notes);
+  EXPECT_EQ(to_csv(a.table), to_csv(serial_flit_reference(spec)));
+}
+
+TEST(FlitSimFanOut, RunAllAndSerialEngineGiveTheSameTables) {
+  std::vector<ScenarioSpec> specs;
+  for (std::size_t v = 0; v < 3; ++v) specs.push_back(multi_rate_flit(v));
+  SimEngine lone({1});
+  std::vector<std::string> expected;
+  for (const ScenarioSpec& spec : specs) {
+    const RunResult r = lone.run(spec);
+    ASSERT_TRUE(r.ok()) << r.status.to_string();
+    expected.push_back(to_csv(r.table));
+    EXPECT_EQ(expected.back(), to_csv(serial_flit_reference(spec)));
+  }
+  SimEngine pooled({4});
+  const auto results = pooled.run_all(specs, 4);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << results[i].status.to_string();
+    EXPECT_EQ(to_csv(results[i].table), expected[i]) << i;
+  }
 }
 
 }  // namespace

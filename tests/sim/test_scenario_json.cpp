@@ -82,31 +82,37 @@ TEST(ScenarioJson, EncodesEnumsAsStableNames) {
   EXPECT_EQ(json.at("noc").at("traffic").as_string(), "hotspot");
 }
 
-TEST(ScenarioJson, TrafficModeAndTornadoRoundTrip) {
+TEST(ScenarioJson, TornadoRoundTripAndRetiredTrafficModeKey) {
   ScenarioSpec spec;
-  spec.name = "implicit_tornado";
+  spec.name = "tornado";
   spec.workload = "noc_latency";
   spec.noc.topology.kind = TopologySpec::Kind::kMesh2d;
   spec.noc.topology.kx = 8;
   spec.noc.topology.ky = 8;
   spec.noc.traffic = TrafficKind::kTornado;
-  spec.noc.traffic_mode = TrafficMode::kImplicit;
   const Json json = scenario_to_json(spec);
   EXPECT_EQ(json.at("noc").at("traffic").as_string(), "tornado");
-  EXPECT_EQ(json.at("noc").at("traffic_mode").as_string(), "implicit");
+  EXPECT_EQ(json.at("noc").find("traffic_mode"), nullptr);
   const ScenarioSpec decoded =
       scenario_from_string(scenario_to_string(spec));
   EXPECT_EQ(decoded.noc.traffic, TrafficKind::kTornado);
-  EXPECT_EQ(decoded.noc.traffic_mode, TrafficMode::kImplicit);
   EXPECT_TRUE(decoded.validate().is_ok());
-  // Absent traffic_mode keeps the dense default (old spec files stay
-  // valid and keep their meaning).
-  const ScenarioSpec sparse = scenario_from_string(
-      R"({"name": "sparse", "workload": "noc_latency"})");
-  EXPECT_EQ(sparse.noc.traffic_mode, TrafficMode::kDense);
-  EXPECT_THROW((void)scenario_from_string(
-                   R"({"name": "x", "noc": {"traffic_mode": "sparse"}})"),
-               StatusError);
+  // Traffic is always the analytic pattern; the retired representation
+  // switch is an unknown key like any other, whatever its value.
+  for (const char* mode : {"dense", "implicit"}) {
+    SCOPED_TRACE(mode);
+    try {
+      (void)scenario_from_string(
+          std::string(R"({"name": "x", "noc": {"traffic_mode": ")") + mode +
+          R"("}})");
+      ADD_FAILURE() << "expected StatusError";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kParseError);
+      EXPECT_NE(e.status().message().find("unknown key 'traffic_mode'"),
+                std::string::npos)
+          << e.status().message();
+    }
+  }
 }
 
 TEST(ScenarioJson, LdpcCurvesRoundTrip) {

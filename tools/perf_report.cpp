@@ -5,19 +5,24 @@
 /// Usage:
 ///   tool_perf_report [--smoke] [output.json]
 ///
-/// Each kernel is timed best-of-N in this process, baseline and
-/// optimized alternately round by round (time_pair_ns), so slow drift
-/// of the machine hits both sides alike and the reported speedups are
-/// insensitive to it. --smoke runs one repetition of everything (the CI
-/// sanity gate); the default repetition counts are sized for a stable
-/// committed baseline. The JSON schema ("wi-bench-perf-v1") is described
-/// in the README's Performance section.
+/// Each kernel is timed best-of-N, baseline and optimized alternately
+/// round by round (time_pair_ns), so slow drift of the machine hits both
+/// sides alike and the reported speedups are insensitive to it. Every
+/// entry runs in its own forked child of a small parent, so its
+/// max_rss_kb is its own high-water mark. --smoke runs one repetition
+/// of everything (the CI sanity gate); the default repetition counts are
+/// sized for a stable committed baseline. The JSON schema
+/// ("wi-bench-perf-v1") is described in the README's Performance
+/// section.
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -29,6 +34,7 @@
 #include "baseline_kernels.hpp"
 #include "wi/comm/filter_design.hpp"
 #include "wi/comm/info_rate.hpp"
+#include "wi/common/json.hpp"
 #include "wi/common/rng.hpp"
 #include "wi/core/phy_abstraction.hpp"
 #include "wi/fec/bp_decoder.hpp"
@@ -41,16 +47,17 @@
 
 namespace {
 
+using wi::Json;
+
 double now_ns() {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-/// Process-lifetime peak resident set in kB (Linux ru_maxrss unit).
-/// The counter never decreases, so each entry's value is the peak up to
-/// the moment its timed runs finished — ordering memory-light kernels
-/// before their memory-hungry dense twins makes the contrast visible.
+/// Process-lifetime peak resident set in kB (Linux ru_maxrss unit). A
+/// forked child starts from its parent's peak, so the parent stays
+/// small and each entry runs in a child of its own (run_isolated).
 double max_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -102,59 +109,90 @@ struct Entry {
   double legacy_ns_per_op = 0.0;
 };
 
-/// push_back + max-RSS stamp: every entry records the process peak RSS
-/// observed once its timed runs completed.
+/// push_back + max-RSS stamp: every entry records the peak RSS of the
+/// child it ran in, once its timed runs completed.
 void push_entry(std::vector<Entry>& entries, Entry entry) {
   entry.rss_kb = max_rss_kb();
   entries.push_back(std::move(entry));
 }
 
-std::string json_escape_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.1f", v);
-  return buf;
+/// v rounded to `decimals` places (dividing by the power of ten keeps
+/// the shortest decimal form, e.g. 1.88, not 1.8800000000000001).
+double round_to(double v, int decimals) {
+  const double scale = std::pow(10.0, decimals);
+  return std::round(v * scale) / scale;
 }
 
-void write_json(const std::vector<Entry>& entries, const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n"
-      << "  \"schema\": \"wi-bench-perf-v1\",\n"
-      << "  \"note\": \"best-of-N wall times; baseline = frozen "
-         "pre-optimization kernel measured in the same process\",\n"
-      << "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\n"
-        << "      \"name\": \"" << e.name << "\",\n"
-        << "      \"ns_per_op\": " << json_escape_number(e.ns_per_op);
-    if (e.baseline_ns_per_op > 0.0) {
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2f",
-                    e.baseline_ns_per_op / e.ns_per_op);
-      out << ",\n      \"baseline_ns_per_op\": "
-          << json_escape_number(e.baseline_ns_per_op)
-          << ",\n      \"speedup\": " << speedup;
-    }
-    if (e.legacy_ns_per_op > 0.0) {
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2f",
-                    e.legacy_ns_per_op / e.ns_per_op);
-      out << ",\n      \"legacy_ns_per_op\": "
-          << json_escape_number(e.legacy_ns_per_op)
-          << ",\n      \"speedup_vs_legacy\": " << speedup;
-    }
-    if (e.throughput > 0.0) {
-      char thr[32];
-      std::snprintf(thr, sizeof(thr), "%.2f", e.throughput);
-      out << ",\n      \"throughput\": " << thr
-          << ",\n      \"throughput_unit\": \"" << e.throughput_unit << "\"";
-    }
-    if (e.rss_kb > 0.0) {
-      out << ",\n      \"max_rss_kb\": " << json_escape_number(e.rss_kb);
-    }
-    out << "\n    }" << (i + 1 < entries.size() ? "," : "") << "\n";
+Json entry_to_json(const Entry& e) {
+  Json json = Json::object();
+  json.set("name", Json(e.name));
+  json.set("ns_per_op", Json(round_to(e.ns_per_op, 1)));
+  if (e.baseline_ns_per_op > 0.0) {
+    json.set("baseline_ns_per_op", Json(round_to(e.baseline_ns_per_op, 1)));
+    json.set("speedup",
+             Json(round_to(e.baseline_ns_per_op / e.ns_per_op, 2)));
   }
-  out << "  ]\n}\n";
+  if (e.legacy_ns_per_op > 0.0) {
+    json.set("legacy_ns_per_op", Json(round_to(e.legacy_ns_per_op, 1)));
+    json.set("speedup_vs_legacy",
+             Json(round_to(e.legacy_ns_per_op / e.ns_per_op, 2)));
+  }
+  if (e.throughput > 0.0) {
+    json.set("throughput", Json(round_to(e.throughput, 2)));
+    json.set("throughput_unit", Json(e.throughput_unit));
+  }
+  if (e.rss_kb > 0.0) json.set("max_rss_kb", Json(round_to(e.rss_kb, 1)));
+  return json;
+}
+
+/// Runs `block` in a forked child and returns the report JSON of the
+/// entries it pushed, shipped back through a pipe. Exits the report when
+/// the child fails.
+Json::Array run_isolated(
+    const std::function<void(std::vector<Entry>&)>& block) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    std::perror("perf_report: pipe");
+    std::exit(1);
+  }
+  std::cout.flush();
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    std::perror("perf_report: fork");
+    std::exit(1);
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    std::vector<Entry> entries;
+    block(entries);
+    Json out = Json::array();
+    for (const Entry& e : entries) out.push_back(entry_to_json(e));
+    const std::string text = out.dump();
+    std::size_t done = 0;
+    while (done < text.size()) {
+      const ssize_t n = write(fds[1], text.data() + done, text.size() - done);
+      if (n <= 0) _exit(1);
+      done += static_cast<std::size_t>(n);
+    }
+    close(fds[1]);
+    _exit(0);
+  }
+  close(fds[1]);
+  std::string text;
+  char buffer[4096];
+  for (ssize_t n; (n = read(fds[0], buffer, sizeof(buffer))) > 0;) {
+    text.append(buffer, static_cast<std::size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    std::cerr << "perf_report: a measurement child failed (status " << status
+              << ")\n";
+    std::exit(1);
+  }
+  return Json::parse(text).as_array();
 }
 
 }  // namespace
@@ -172,47 +210,63 @@ int main(int argc, char** argv) {
   const int reps_fast = smoke ? 1 : 7;    // sub-ms kernels
   const int reps_slow = smoke ? 1 : 5;    // >100 ms kernels
   const int reps_pair = smoke ? 1 : 9;    // rounds of time_pair_ns
-  std::vector<Entry> entries;
-
-  const wi::comm::Constellation ask4 = wi::comm::Constellation::ask(4);
+  Json benchmarks = Json::array();
+  const auto isolated =
+      [&](const std::function<void(std::vector<Entry>&)>& block) {
+        for (Json& e : run_isolated(block)) benchmarks.push_back(std::move(e));
+      };
 
   // --- info_rate_one_bit_sequence (paper settings: 4-ASK, M=5, 20000) ---
-  {
-    const wi::comm::OneBitOsChannel channel(wi::comm::paper_filter_sequence(),
-                                            ask4, 25.0);
-    wi::comm::SequenceRateOptions options;
-    options.symbols = 20000;
-    options.seed = 7;
+  const wi::comm::Constellation ask4 = wi::comm::Constellation::ask(4);
+  const auto one_bit_channel = [&] {
+    return wi::comm::OneBitOsChannel(wi::comm::paper_filter_sequence(), ask4,
+                                     25.0);
+  };
+  wi::comm::SequenceRateOptions sequence_options;
+  sequence_options.symbols = 20000;
+  sequence_options.seed = 7;
+  isolated([&](std::vector<Entry>& out) {
+    const wi::comm::OneBitOsChannel channel = one_bit_channel();
     volatile double sink = 0.0;
-    const auto baseline = [&] {
-      sink = wi::perf_baseline::info_rate_one_bit_sequence(channel, options);
-    };
     // Warm the noise tape before timing the steady-state path (the cold
-    // first call is reported separately below).
-    sink = wi::comm::info_rate_one_bit_sequence(channel, options);
+    // first call is the next entry).
+    sink = wi::comm::info_rate_one_bit_sequence(channel, sequence_options);
     const auto [base, opt] = time_pair_ns(
-        baseline,
-        [&] { sink = wi::comm::info_rate_one_bit_sequence(channel, options); },
+        [&] {
+          sink = wi::perf_baseline::info_rate_one_bit_sequence(
+              channel, sequence_options);
+        },
+        [&] {
+          sink =
+              wi::comm::info_rate_one_bit_sequence(channel, sequence_options);
+        },
         reps_pair, reps_fast);
-    push_entry(entries, {"info_rate_one_bit_sequence/4ask_m5_20000sym", opt,
-                       base, 20000.0 / opt * 1e3, "Msymbols/s"});
+    push_entry(out, {"info_rate_one_bit_sequence/4ask_m5_20000sym", opt, base,
+                     20000.0 / opt * 1e3, "Msymbols/s"});
+    (void)sink;
+  });
+  isolated([&](std::vector<Entry>& out) {
+    const wi::comm::OneBitOsChannel channel = one_bit_channel();
+    volatile double sink = 0.0;
     // Cold-tape cost: fresh seed defeats the memoization.
     std::uint64_t seed = 90000;
     const auto [cold_base, cold] = time_pair_ns(
-        baseline,
         [&] {
-          wi::comm::SequenceRateOptions cold_options = options;
+          sink = wi::perf_baseline::info_rate_one_bit_sequence(
+              channel, sequence_options);
+        },
+        [&] {
+          wi::comm::SequenceRateOptions cold_options = sequence_options;
           cold_options.seed = ++seed;
           sink = wi::comm::info_rate_one_bit_sequence(channel, cold_options);
         },
         reps_pair);
-    push_entry(entries, {"info_rate_one_bit_sequence/cold_noise_tape", cold,
-                       cold_base, 20000.0 / cold * 1e3, "Msymbols/s"});
+    push_entry(out, {"info_rate_one_bit_sequence/cold_noise_tape", cold,
+                     cold_base, 20000.0 / cold * 1e3, "Msymbols/s"});
     (void)sink;
-  }
-
+  });
   // --- mi_one_bit_symbolwise ---
-  {
+  isolated([&](std::vector<Entry>& out) {
     const wi::comm::OneBitOsChannel channel(
         wi::comm::paper_filter_symbolwise(), ask4, 25.0);
     volatile double sink = 0.0;
@@ -222,10 +276,9 @@ int main(int argc, char** argv) {
     const double opt = time_ns(
         [&] { sink = wi::comm::mi_one_bit_symbolwise(channel); },
         smoke ? 1 : 50);
-    push_entry(entries,
-        {"mi_one_bit_symbolwise/4ask_m5", opt, base, 0.0, ""});
+    push_entry(out, {"mi_one_bit_symbolwise/4ask_m5", opt, base, 0.0, ""});
     (void)sink;
-  }
+  });
 
   // --- simulate_network (Fig. 8a: 64-module meshes) ---
   // Two in-process baselines: the frozen pre-PR-2 simulator (`speedup`,
@@ -234,64 +287,67 @@ int main(int argc, char** argv) {
   // of 9: the two are within tens of percent of each other at these
   // loads, so drift between back-to-back blocks would swamp the ratio.
   {
-    wi::noc::FlitSimConfig config;  // fig08a DES cross-check settings
-    config.warmup_cycles = 2000;
-    config.measure_cycles = 8000;
-    config.seed = 1;
-    const wi::noc::DimensionOrderRouting routing;
     struct Case {
       const char* name;
-      wi::noc::Topology topo;
+      wi::noc::Topology (*topology)();
       double rate;
     };
-    Case cases[] = {
+    const Case cases[] = {
         {"simulate_network/fig08a_mesh3d_4x4x4_rate0.3",
-         wi::noc::Topology::mesh_3d(4, 4, 4), 0.3},
+         [] { return wi::noc::Topology::mesh_3d(4, 4, 4); }, 0.3},
         {"simulate_network/fig08a_mesh2d_8x8_rate0.2",
-         wi::noc::Topology::mesh_2d(8, 8), 0.2},
+         [] { return wi::noc::Topology::mesh_2d(8, 8); }, 0.2},
         // Low-load point: the event wheel only turns routers with
         // pending work, while the cycle-stepped baselines still visit
         // all 64 routers every cycle — this is where the event-driven
         // rearchitecture pays off by an order of magnitude.
         {"simulate_network/fig08a_mesh2d_8x8_rate0.02_lowload",
-         wi::noc::Topology::mesh_2d(8, 8), 0.02},
+         [] { return wi::noc::Topology::mesh_2d(8, 8); }, 0.02},
     };
     for (const Case& c : cases) {
-      const wi::noc::TrafficPattern traffic =
-          wi::noc::TrafficPattern::uniform(64);
-      volatile std::size_t sink = 0;
-      const double base = time_ns(
-          [&] {
-            sink = wi::perf_baseline::simulate_network(c.topo, routing,
-                                                       traffic, c.rate,
-                                                       config)
-                       .delivered;
-          },
-          reps_slow);
-      const auto [legacy, opt] = time_pair_ns(
-          [&] {
-            sink = wi::perf_baseline::simulate_network_legacy(
-                       c.topo, routing, traffic, c.rate, config, {})
-                       .delivered;
-          },
-          [&] {
-            sink = wi::noc::simulate_network(c.topo, routing, traffic,
-                                             c.rate, config)
-                       .delivered;
-          },
-          reps_pair);
-      const double cycles = static_cast<double>(config.warmup_cycles +
-                                                config.measure_cycles +
-                                                config.drain_cycles);
-      Entry entry{c.name, opt, base, cycles / opt * 1e3, "Mcycles/s"};
-      entry.legacy_ns_per_op = legacy;
-      push_entry(entries, std::move(entry));
-      (void)sink;
+      isolated([&](std::vector<Entry>& out) {
+        wi::noc::FlitSimConfig config;  // fig08a DES cross-check settings
+        config.warmup_cycles = 2000;
+        config.measure_cycles = 8000;
+        config.seed = 1;
+        const wi::noc::DimensionOrderRouting routing;
+        const wi::noc::Topology topo = c.topology();
+        const wi::noc::TrafficPattern traffic =
+            wi::noc::TrafficPattern::uniform(64);
+        volatile std::size_t sink = 0;
+        const double base = time_ns(
+            [&] {
+              sink = wi::perf_baseline::simulate_network(topo, routing,
+                                                         traffic, c.rate,
+                                                         config)
+                         .delivered;
+            },
+            reps_slow);
+        const auto [legacy, opt] = time_pair_ns(
+            [&] {
+              sink = wi::perf_baseline::simulate_network_legacy(
+                         topo, routing, traffic, c.rate, config, {})
+                         .delivered;
+            },
+            [&] {
+              sink = wi::noc::simulate_network(topo, routing, traffic,
+                                               c.rate, config)
+                         .delivered;
+            },
+            reps_pair);
+        const double cycles = static_cast<double>(config.warmup_cycles +
+                                                  config.measure_cycles +
+                                                  config.drain_cycles);
+        Entry entry{c.name, opt, base, cycles / opt * 1e3, "Mcycles/s"};
+        entry.legacy_ns_per_op = legacy;
+        push_entry(out, std::move(entry));
+        (void)sink;
+      });
     }
   }
 
   // --- PhyAbstraction SNR-curve build (17 sequence-rate grid points) ---
-  {
+  isolated([&](std::vector<Entry>& out) {
     volatile double sink = 0.0;
     // Warm the shared noise tape first: both variants would otherwise
     // pay the one-off recording on their first build and the ratio
@@ -320,79 +376,87 @@ int main(int argc, char** argv) {
           sink = phy.info_rate_bpcu(25.0);
         },
         reps_pair);
-    push_entry(entries,
-        {"phy_abstraction_build/one_bit_sequence/serial", serial, 0.0, 0.0,
-         ""});
-    push_entry(entries,
-        {"phy_abstraction_build/one_bit_sequence/parallel_4t", parallel,
-         serial, 0.0, ""});
+    push_entry(out, {"phy_abstraction_build/one_bit_sequence/serial", serial,
+                     0.0, 0.0, ""});
+    push_entry(out, {"phy_abstraction_build/one_bit_sequence/parallel_4t",
+                     parallel, serial, 0.0, ""});
     (void)sink;
-  }
+  });
 
   // --- implicit vs dense setup structures (16x16x16 mesh, 4096 nodes) ---
-  // The implicit kernels run first so their entries record the process
-  // peak RSS *before* the dense twins allocate the modules^2 matrix and
-  // the routers^2 next-hop table — the max_rss_kb contrast between the
-  // /implicit entries and their dense-baselined twins is the memory
-  // story the 32x32x32 scenario depends on.
-  {
-    const wi::noc::Topology topo = wi::noc::Topology::mesh_3d(16, 16, 16);
-    const std::size_t modules = topo.module_count();
-    const std::size_t routers = topo.router_count();
-    const wi::noc::DimensionOrderRouting routing;
-
-    // Traffic pattern construction + one probability row read (the row
-    // read keeps both sides' op big enough to time stably).
-    volatile double dsink = 0.0;
+  // Each entry runs in its own child, so the /implicit entries'
+  // max_rss_kb never includes the modules^2 matrix or the routers^2
+  // next-hop table their dense twins allocate — that contrast is the
+  // memory story the 32x32x32 scenario depends on.
+  const auto mesh16 = [] { return wi::noc::Topology::mesh_3d(16, 16, 16); };
+  // Traffic pattern construction + one probability row read (the row
+  // read keeps both sides' op big enough to time stably).
+  const auto traffic_build = [](wi::noc::TrafficPattern (*make)(std::size_t),
+                                std::size_t modules) {
+    volatile double sink = 0.0;
+    const wi::noc::TrafficPattern p = make(modules);
+    double sum = 0.0;
+    for (std::size_t d = 0; d < modules; ++d) sum += p.probability(0, d);
+    sink = sum;
+    (void)sink;
+  };
+  isolated([&](std::vector<Entry>& out) {
+    const std::size_t modules = mesh16().module_count();
+    push_entry(out,
+               {"traffic_build/mesh3d_16x16x16/implicit",
+                time_ns(
+                    [&] {
+                      traffic_build(wi::noc::TrafficPattern::implicit_uniform,
+                                    modules);
+                    },
+                    reps_fast),
+                0.0, 0.0, ""});
+  });
+  isolated([&](std::vector<Entry>& out) {
+    const std::size_t modules = mesh16().module_count();
     const double traffic_implicit = time_ns(
         [&] {
-          const wi::noc::TrafficPattern p =
-              wi::noc::TrafficPattern::implicit_uniform(modules);
-          double sum = 0.0;
-          for (std::size_t d = 0; d < modules; ++d) {
-            sum += p.probability(0, d);
-          }
-          dsink = sum;
+          traffic_build(wi::noc::TrafficPattern::implicit_uniform, modules);
         },
         reps_fast);
-    push_entry(entries, {"traffic_build/mesh3d_16x16x16/implicit",
-                         traffic_implicit, 0.0, 0.0, ""});
     const double traffic_dense = time_ns(
-        [&] {
-          const wi::noc::TrafficPattern p =
-              wi::noc::TrafficPattern::uniform(modules);
-          double sum = 0.0;
-          for (std::size_t d = 0; d < modules; ++d) {
-            sum += p.probability(0, d);
-          }
-          dsink = sum;
-        },
+        [&] { traffic_build(wi::noc::TrafficPattern::uniform, modules); },
         reps_slow);
-    push_entry(entries, {"traffic_build/mesh3d_16x16x16", traffic_implicit,
-                         traffic_dense, 0.0, ""});
+    push_entry(out, {"traffic_build/mesh3d_16x16x16", traffic_implicit,
+                     traffic_dense, 0.0, ""});
+  });
 
-    // Routing structure build: MeshGrid coordinate analysis vs the
-    // dense (router, dst) first-hop port table the simulator needs
-    // when the mesh shape is not recognised. The implicit build is
-    // timed alone first, so its entry's RSS predates the dense table;
-    // the baselined entry times the two alternately.
+  // Routing structure build: MeshGrid coordinate analysis vs the dense
+  // (router, dst) first-hop port table the simulator needs when the
+  // mesh shape is not recognised; the baselined entry times the two
+  // alternately.
+  const auto routing_implicit = [](const wi::noc::Topology& topo) {
     volatile std::size_t sink = 0;
-    const auto routing_implicit = [&] {
-      const auto grid = wi::noc::MeshGrid::analyze(topo);
-      sink = grid ? grid->next_port(0, routers - 1) : 0;
-    };
-    push_entry(entries, {"routing_build/mesh3d_16x16x16/implicit",
-                         time_ns(routing_implicit, reps_fast), 0.0, 0.0, ""});
+    const auto grid = wi::noc::MeshGrid::analyze(topo);
+    sink = grid ? grid->next_port(0, topo.router_count() - 1) : 0;
+    (void)sink;
+  };
+  isolated([&](std::vector<Entry>& out) {
+    const wi::noc::Topology topo = mesh16();
+    push_entry(out, {"routing_build/mesh3d_16x16x16/implicit",
+                     time_ns([&] { routing_implicit(topo); }, reps_fast), 0.0,
+                     0.0, ""});
+  });
+  isolated([&](std::vector<Entry>& out) {
+    const wi::noc::Topology topo = mesh16();
+    const std::size_t routers = topo.router_count();
+    const wi::noc::DimensionOrderRouting routing;
+    volatile std::size_t sink = 0;
     const auto [routing_dense, routing_opt] = time_pair_ns(
         [&] {
           std::vector<std::uint8_t> table(routers * routers, 0xFF);
           for (std::size_t r = 0; r < routers; ++r) {
-            const auto& out = topo.out_links(r);
+            const auto& outs = topo.out_links(r);
             for (std::size_t dst = 0; dst < routers; ++dst) {
               if (dst == r) continue;
               const std::size_t link = routing.first_hop(topo, r, dst);
-              for (std::size_t p = 0; p < out.size(); ++p) {
-                if (out[p] == link) {
+              for (std::size_t p = 0; p < outs.size(); ++p) {
+                if (outs[p] == link) {
                   table[r * routers + dst] = static_cast<std::uint8_t>(p);
                   break;
                 }
@@ -401,35 +465,39 @@ int main(int argc, char** argv) {
           }
           sink = table[routers];
         },
-        routing_implicit, reps_pair, reps_fast);
-    push_entry(entries, {"routing_build/mesh3d_16x16x16", routing_opt,
-                         routing_dense, 0.0, ""});
+        [&] { routing_implicit(topo); }, reps_pair, reps_fast);
+    push_entry(out, {"routing_build/mesh3d_16x16x16", routing_opt,
+                     routing_dense, 0.0, ""});
+    (void)sink;
+  });
 
-    // Queueing-model setup: closed-form channel loads vs the dense
-    // all-pairs route walk (8x8x8 keeps the dense twin affordable).
+  // Queueing-model setup: closed-form channel loads vs the dense
+  // all-pairs route walk (8x8x8 keeps the dense twin affordable).
+  isolated([&](std::vector<Entry>& out) {
     const wi::noc::Topology q_topo = wi::noc::Topology::mesh_3d(8, 8, 8);
     const std::size_t q_modules = q_topo.module_count();
+    const wi::noc::DimensionOrderRouting routing;
+    volatile double sink = 0.0;
     const auto [queueing_dense, queueing_implicit] = time_pair_ns(
         [&] {
           const wi::noc::QueueingModel model(
               q_topo, routing, wi::noc::TrafficPattern::uniform(q_modules));
-          dsink = model.saturation_rate();
+          sink = model.saturation_rate();
         },
         [&] {
           const wi::noc::QueueingModel model(
               q_topo, routing,
               wi::noc::TrafficPattern::implicit_uniform(q_modules));
-          dsink = model.saturation_rate();
+          sink = model.saturation_rate();
         },
         reps_pair, reps_fast);
-    push_entry(entries, {"queueing_build/mesh3d_8x8x8", queueing_implicit,
-                         queueing_dense, 0.0, ""});
+    push_entry(out, {"queueing_build/mesh3d_8x8x8", queueing_implicit,
+                     queueing_dense, 0.0, ""});
     (void)sink;
-    (void)dsink;
-  }
+  });
 
   // --- end-to-end SimEngine scenario (Fig. 8a queueing-model table) ---
-  {
+  isolated([&](std::vector<Entry>& out) {
     const wi::sim::ScenarioRegistry registry =
         wi::sim::ScenarioRegistry::paper();
     const wi::sim::ScenarioSpec spec = registry.get("fig08a_mesh2d_8x8");
@@ -440,33 +508,32 @@ int main(int argc, char** argv) {
           sink = engine.run(spec).table.rows();
         },
         reps_fast);
-    push_entry(entries, {"sim_engine/fig08a_mesh2d_8x8_noc_latency", t, 0.0,
-                       0.0, ""});
+    push_entry(out, {"sim_engine/fig08a_mesh2d_8x8_noc_latency", t, 0.0, 0.0,
+                     ""});
     (void)sink;
-  }
+  });
 
   // --- LDPC decoding (Fig. 10): one tanh per edge, caller-owned
   // workspace, against the decoders as they stood before. Per op: one
   // codeword, averaged over a fixed set drawn at the paper's operating
-  // region (BPSK/AWGN, all-zero codeword). Last, so the entries above
-  // run in the same process state as before these were added.
-  {
-    const auto draw = [](std::size_t n, double ebn0_db, double rate,
-                         std::size_t count) {
-      const double sigma =
-          std::sqrt(1.0 / (2.0 * rate * std::pow(10.0, ebn0_db / 10.0)));
-      wi::Rng rng(4242);
-      std::vector<std::vector<double>> words(count, std::vector<double>(n));
-      for (auto& llr : words) {
-        for (double& v : llr) {
-          v = 2.0 / (sigma * sigma) * (1.0 + sigma * rng.gaussian());
-        }
+  // region (BPSK/AWGN, all-zero codeword).
+  const auto draw = [](std::size_t n, double ebn0_db, double rate,
+                       std::size_t count) {
+    const double sigma =
+        std::sqrt(1.0 / (2.0 * rate * std::pow(10.0, ebn0_db / 10.0)));
+    wi::Rng rng(4242);
+    std::vector<std::vector<double>> words(count, std::vector<double>(n));
+    for (auto& llr : words) {
+      for (double& v : llr) {
+        v = 2.0 / (sigma * sigma) * (1.0 + sigma * rng.gaussian());
       }
-      return words;
-    };
-    const std::size_t codewords = smoke ? 2 : 16;
+    }
+    return words;
+  };
+  const std::size_t codewords = smoke ? 2 : 16;
+  const double count = static_cast<double>(codewords);
+  isolated([&](std::vector<Entry>& out) {
     volatile std::size_t sink = 0;
-
     const wi::fec::LdpcConvolutionalCode cc(
         wi::fec::EdgeSpreading::paper_example(), 40, 24, 40);
     const auto cc_words =
@@ -486,14 +553,16 @@ int main(int argc, char** argv) {
           }
         },
         reps_pair);
-    const double count = static_cast<double>(codewords);
-    push_entry(entries,
+    push_entry(out,
                {"ldpc_decode/window_cc_n40_w6_l24_3.5db", cc_opt / count,
                 cc_base / count,
                 static_cast<double>(cc.codeword_length()) * count / cc_opt *
                     1e3,
                 "Mbit/s"});
-
+    (void)sink;
+  });
+  isolated([&](std::vector<Entry>& out) {
+    volatile std::size_t sink = 0;
     const wi::fec::QcLdpcBlockCode bc(wi::fec::BaseMatrix({{4, 4}}), 200,
                                       200);
     const auto bc_words =
@@ -513,18 +582,18 @@ int main(int argc, char** argv) {
           }
         },
         reps_pair);
-    push_entry(entries,
+    push_entry(out,
                {"ldpc_decode/bp_bc_n200_3.5db", bc_opt / count,
                 bc_base / count,
                 static_cast<double>(bc.block_length()) * count / bc_opt * 1e3,
                 "Mbit/s"});
     (void)sink;
-  }
+  });
 
   // --- LDPC code construction (Fig. 10's largest liftings): girth
   // search from one column per base column against the all-starts
   // construction it replaced, alternately, best of 9.
-  {
+  isolated([&](std::vector<Entry>& out) {
     volatile std::size_t sink = 0;
     const auto spreading = wi::fec::EdgeSpreading::paper_example();
     const auto [cc_base, cc_opt] = time_pair_ns(
@@ -537,8 +606,11 @@ int main(int argc, char** argv) {
           sink = code.parity_check().nonzeros();
         },
         reps_pair);
-    push_entry(entries, {"ldpc_code_build/cc_n60_l10", cc_opt, cc_base, 0.0,
-                         ""});
+    push_entry(out, {"ldpc_code_build/cc_n60_l10", cc_opt, cc_base, 0.0, ""});
+    (void)sink;
+  });
+  isolated([&](std::vector<Entry>& out) {
+    volatile std::size_t sink = 0;
     const wi::fec::BaseMatrix base({{4, 4}});
     const auto [bc_base, bc_opt] = time_pair_ns(
         [&] {
@@ -550,21 +622,28 @@ int main(int argc, char** argv) {
           sink = code.parity_check().nonzeros();
         },
         reps_pair);
-    push_entry(entries, {"ldpc_code_build/bc_n400", bc_opt, bc_base, 0.0, ""});
+    push_entry(out, {"ldpc_code_build/bc_n400", bc_opt, bc_base, 0.0, ""});
     (void)sink;
-  }
+  });
 
-  write_json(entries, out_path);
+  Json doc = Json::object();
+  doc.set("schema", Json("wi-bench-perf-v1"));
+  doc.set("note",
+          Json("best-of-N wall times; baseline = frozen pre-optimization "
+               "kernel measured in the same process"));
+  doc.set("benchmarks", benchmarks);
+  std::ofstream(out_path) << doc.dump(2) << "\n";
   std::cout << "wrote " << out_path << "\n";
-  for (const Entry& e : entries) {
-    std::printf("  %-50s %12.0f ns/op", e.name.c_str(), e.ns_per_op);
-    if (e.baseline_ns_per_op > 0.0) {
-      std::printf("  (baseline %12.0f, speedup %.2fx)", e.baseline_ns_per_op,
-                  e.baseline_ns_per_op / e.ns_per_op);
+  for (const Json& e : benchmarks.as_array()) {
+    std::printf("  %-50s %12.0f ns/op", e.at("name").as_string().c_str(),
+                e.at("ns_per_op").as_number());
+    if (const Json* base = e.find("baseline_ns_per_op")) {
+      std::printf("  (baseline %12.0f, speedup %.2fx)", base->as_number(),
+                  e.at("speedup").as_number());
     }
-    if (e.legacy_ns_per_op > 0.0) {
-      std::printf("  (legacy %12.0f, speedup %.2fx)", e.legacy_ns_per_op,
-                  e.legacy_ns_per_op / e.ns_per_op);
+    if (const Json* legacy = e.find("legacy_ns_per_op")) {
+      std::printf("  (legacy %12.0f, speedup %.2fx)", legacy->as_number(),
+                  e.at("speedup_vs_legacy").as_number());
     }
     std::printf("\n");
   }
