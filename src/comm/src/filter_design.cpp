@@ -295,10 +295,10 @@ IsiFilter design_filter_suboptimal(const Constellation& constellation,
 
 IsiFilter paper_filter_symbolwise() {
   // optimize_filter_symbolwise(ask(4)) with a 6000-eval, 4-restart
-  // budget (tools/tune_filters): exact symbolwise MI 1.642 bpcu at
-  // 25 dB — the Fig. 6 "Max Information Rate 1Bit-OS (symbolwise)"
-  // level. The sample-to-sample dithering within the symbol is what
-  // lets the 1-bit receiver resolve the four amplitudes.
+  // budget (results/specs/tune_filters.json): exact symbolwise MI
+  // 1.642 bpcu at 25 dB — the Fig. 6 "Max Information Rate 1Bit-OS
+  // (symbolwise)" level. The sample-to-sample dithering within the
+  // symbol is what lets the 1-bit receiver resolve the four amplitudes.
   return IsiFilter({1.5540, 0.5724, 0.7823, 0.6121, 0.4293,
                     0.1139, 0.0000, 0.0001, -0.5075, 0.3247,
                     -0.1798, 0.4679, -0.6777, 0.0001, 0.0001},

@@ -1,7 +1,7 @@
 #pragma once
 /// \file table.hpp
-/// \brief Minimal fixed-width / CSV table printer used by the benchmark
-///        harnesses to emit the paper's tables and figure series.
+/// \brief Minimal fixed-width / CSV table printer: the result tables
+///        behind the paper's tables and figure series.
 
 #include <iosfwd>
 #include <string>

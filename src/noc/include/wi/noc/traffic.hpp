@@ -107,9 +107,9 @@ class TrafficPattern {
   /// dense — those sample through their CDF). Consumes exactly one
   /// `rng.raw()` per call — the same single draw the dense CDF sampler
   /// takes per offered packet — except the hotspot non-hot branch,
-  /// which needs a second draw for its uniform remainder. Every core
-  /// (legacy, event, partitioned) calls this one function, so the
-  /// sampled stream is bit-identical at any thread/partition count.
+  /// which needs a second draw for its uniform remainder. The event
+  /// core and the cycle-stepped oracle in bench/perf both call this one
+  /// function, so they sample bit-identical streams.
   [[nodiscard]] std::size_t sample(Rng& rng, std::size_t src) const {
     const std::uint64_t x = rng.raw() >> 11;  // 53 uniform bits
     switch (kind_) {

@@ -14,6 +14,7 @@
 /// belonging to a *different* workload is diagnosed as such.
 
 #include <string>
+#include <vector>
 
 #include "wi/common/json.hpp"
 #include "wi/sim/scenario.hpp"
@@ -36,6 +37,12 @@ namespace wi::sim {
 
 /// scenario_from_json over parsed text.
 [[nodiscard]] ScenarioSpec scenario_from_string(const std::string& text);
+
+/// A spec file's contents: one spec object, or a non-empty array of
+/// them, each decoded by scenario_from_json. Throws
+/// StatusError(kParseError) on anything else.
+[[nodiscard]] std::vector<ScenarioSpec> scenarios_from_string(
+    const std::string& text);
 
 /// Enum names used by the codec (also handy for CLI flags).
 [[nodiscard]] const char* beamforming_name(core::Beamforming value);

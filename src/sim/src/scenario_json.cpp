@@ -204,4 +204,15 @@ ScenarioSpec scenario_from_string(const std::string& text) {
   return scenario_from_json(Json::parse(text));
 }
 
+std::vector<ScenarioSpec> scenarios_from_string(const std::string& text) {
+  const Json json = Json::parse(text);
+  if (!json.is_array()) return {scenario_from_json(json)};
+  if (json.as_array().empty()) codec_fail("spec array is empty");
+  std::vector<ScenarioSpec> specs;
+  for (const Json& element : json.as_array()) {
+    specs.push_back(scenario_from_json(element));
+  }
+  return specs;
+}
+
 }  // namespace wi::sim

@@ -132,5 +132,41 @@ TEST(ScenarioJson, LdpcCurvesRoundTrip) {
   EXPECT_EQ(decoded_ldpc.bc_liftings[0], 64u);
 }
 
+TEST(ScenarioJson, SpecArraysDecodeElementByElement) {
+  const std::string first =
+      R"({"name": "a", "workload": "hybrid_system",
+          "hybrid": {"inter_board_fraction": 0.1}})";
+  const std::string second =
+      R"({"name": "b", "workload": "noc_latency",
+          "noc": {"topology": {"kind": "mesh3d", "kz": 4}}})";
+  const std::vector<ScenarioSpec> specs =
+      scenarios_from_string("[" + first + ", " + second + "]");
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(scenario_to_string(specs[0]),
+            scenario_to_string(scenario_from_string(first)));
+  EXPECT_EQ(scenario_to_string(specs[1]),
+            scenario_to_string(scenario_from_string(second)));
+
+  // A lone object is a one-spec file.
+  const std::vector<ScenarioSpec> single = scenarios_from_string(first);
+  ASSERT_EQ(single.size(), 1u);
+  EXPECT_EQ(scenario_to_string(single[0]), scenario_to_string(specs[0]));
+}
+
+TEST(ScenarioJson, MalformedSpecArraysAreParseErrors) {
+  const auto expect_parse_error = [](const std::string& text) {
+    try {
+      (void)scenarios_from_string(text);
+      ADD_FAILURE() << "expected StatusError for " << text;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code(), StatusCode::kParseError) << text;
+    }
+  };
+  expect_parse_error("[]");
+  expect_parse_error(R"([{"name": "a"}, 3])");
+  expect_parse_error(R"("fig01_pathloss")");
+  expect_parse_error(R"([{"name": "a"}, {"name": "b", "wrkload": "x"}])");
+}
+
 }  // namespace
 }  // namespace wi::sim

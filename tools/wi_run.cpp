@@ -10,6 +10,7 @@
 ///   wi_run --all --out results/current    # regenerate every artifact
 ///   wi_run fig01_pathloss --check results/golden   # tolerance diff
 ///   wi_run --spec my_scenario.json        # run a JSON spec file
+///   wi_run --spec results/specs/fig08b_references.json  # spec array
 ///
 /// Campaign mode (--seeds N): each selected scenario becomes a
 /// multi-seed Monte-Carlo campaign — N seed replicas derived
@@ -96,7 +97,8 @@ void print_usage(std::ostream& os) {
         "options:\n"
         "  --list             list scenarios + workload kinds and exit\n"
         "  --all              run every registered scenario\n"
-        "  --spec FILE        run a ScenarioSpec JSON file (repeatable)\n"
+        "  --spec FILE        run a ScenarioSpec JSON file: one spec or\n"
+        "                     an array of them (repeatable)\n"
         "  --dump-spec        print scenario JSON specs instead of running\n"
         "  --threads N        worker threads (0 = hardware concurrency)\n"
         "  --out DIR          write <scenario>.csv + <scenario>.json there\n"
@@ -405,8 +407,10 @@ void write_artifacts(const std::filesystem::path& dir,
   return buffer.str();
 }
 
-[[nodiscard]] ScenarioSpec load_spec_file(const std::filesystem::path& path) {
-  return scenario_from_string(slurp(path, "spec file"));
+/// A spec file holds one ScenarioSpec object or an array of them.
+[[nodiscard]] std::vector<ScenarioSpec> load_spec_file(
+    const std::filesystem::path& path) {
+  return scenarios_from_string(slurp(path, "spec file"));
 }
 
 void write_campaign_artifacts(const std::filesystem::path& dir,
@@ -519,7 +523,7 @@ int main(int argc, char** argv) {
       specs.push_back(registry.get(name));
     }
     for (const auto& path : options.spec_files) {
-      specs.push_back(load_spec_file(path));
+      for (auto& spec : load_spec_file(path)) specs.push_back(std::move(spec));
     }
     for (const auto& path : options.campaign_files) {
       campaigns.push_back(
