@@ -390,56 +390,30 @@ fec::BpResult BpDecoder::decode(
       const std::uint32_t end = check_edge_begin_[c + 1];
       const double target_sign =
           (check_parity != nullptr && (*check_parity)[c]) ? -1.0 : 1.0;
-      if (options.min_sum) {
-        // Track the two smallest magnitudes and the total sign.
-        double min1 = 1e300;
-        double min2 = 1e300;
-        std::uint32_t min1_edge = begin;
-        double sign_product = target_sign;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const double m = v2c[e];
-          const double mag = std::abs(m);
-          if (m < 0.0) sign_product = -sign_product;
-          if (mag < min1) {
-            min2 = min1;
-            min1 = mag;
-            min1_edge = e;
-          } else if (mag < min2) {
-            min2 = mag;
+      // Sum-product via the tanh rule, leave-one-out by division with
+      // a guarded fallback when a message saturates.
+      double prod = target_sign;
+      bool saturated = false;
+      for (std::uint32_t e = begin; e < end; ++e) {
+        const double t = std::tanh(0.5 * clipped(v2c[e]));
+        if (std::abs(t) < 1e-12) saturated = true;
+        prod *= t;
+      }
+      for (std::uint32_t e = begin; e < end; ++e) {
+        double t_out;
+        const double t_e = std::tanh(0.5 * clipped(v2c[e]));
+        if (!saturated && std::abs(t_e) > 1e-12) {
+          t_out = prod / t_e;
+        } else {
+          // Recompute leave-one-out explicitly.
+          t_out = target_sign;
+          for (std::uint32_t e2 = begin; e2 < end; ++e2) {
+            if (e2 == e) continue;
+            t_out *= std::tanh(0.5 * clipped(v2c[e2]));
           }
         }
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const double mag = (e == min1_edge) ? min2 : min1;
-          double sign = sign_product;
-          if (v2c[e] < 0.0) sign = -sign;
-          c2v[e] = clipped(options.min_sum_scale * sign * mag);
-        }
-      } else {
-        // Sum-product via the tanh rule, leave-one-out by division with
-        // a guarded fallback when a message saturates.
-        double prod = target_sign;
-        bool saturated = false;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const double t = std::tanh(0.5 * clipped(v2c[e]));
-          if (std::abs(t) < 1e-12) saturated = true;
-          prod *= t;
-        }
-        for (std::uint32_t e = begin; e < end; ++e) {
-          double t_out;
-          const double t_e = std::tanh(0.5 * clipped(v2c[e]));
-          if (!saturated && std::abs(t_e) > 1e-12) {
-            t_out = prod / t_e;
-          } else {
-            // Recompute leave-one-out explicitly.
-            t_out = target_sign;
-            for (std::uint32_t e2 = begin; e2 < end; ++e2) {
-              if (e2 == e) continue;
-              t_out *= std::tanh(0.5 * clipped(v2c[e2]));
-            }
-          }
-          t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
-          c2v[e] = clipped(2.0 * std::atanh(t_out));
-        }
+        t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
+        c2v[e] = clipped(2.0 * std::atanh(t_out));
       }
     }
 
@@ -454,25 +428,23 @@ fec::BpResult BpDecoder::decode(
       }
     }
 
-    if (options.early_stop) {
-      bool satisfied = true;
-      for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
-        std::uint8_t parity = 0;
-        for (std::uint32_t e = check_edge_begin_[c];
-             e < check_edge_begin_[c + 1]; ++e) {
-          parity ^= result.hard[edge_var_[e]];
-        }
-        const std::uint8_t target =
-            (check_parity != nullptr) ? (*check_parity)[c] : 0;
-        if (parity != target) satisfied = false;
+    bool satisfied = true;
+    for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
+      std::uint8_t parity = 0;
+      for (std::uint32_t e = check_edge_begin_[c];
+           e < check_edge_begin_[c + 1]; ++e) {
+        parity ^= result.hard[edge_var_[e]];
       }
-      if (satisfied) {
-        result.converged = true;
-        return result;
-      }
+      const std::uint8_t target =
+          (check_parity != nullptr) ? (*check_parity)[c] : 0;
+      if (parity != target) satisfied = false;
+    }
+    if (satisfied) {
+      result.converged = true;
+      return result;
     }
   }
-  // Final syndrome check when early_stop was off or never hit.
+  // Final syndrome check when no iteration converged.
   bool satisfied = true;
   for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
     std::uint8_t parity = 0;

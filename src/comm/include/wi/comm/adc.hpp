@@ -62,10 +62,6 @@ struct AdcModel {
 
   /// Power [W] of one converter.
   [[nodiscard]] double power_w(std::size_t bits, double sample_rate_hz) const;
-
-  /// Energy per conversion [J].
-  [[nodiscard]] double energy_per_sample_j(std::size_t bits,
-                                           double sample_rate_hz) const;
 };
 
 /// One receiver front-end option in the energy comparison.

@@ -80,14 +80,6 @@ double AdcModel::power_w(std::size_t bits, double sample_rate_hz) const {
          static_cast<double>(std::size_t{1} << bits) * sample_rate_hz;
 }
 
-double AdcModel::energy_per_sample_j(std::size_t bits,
-                                     double sample_rate_hz) const {
-  if (!(sample_rate_hz > 0.0)) {
-    throw std::invalid_argument("energy_per_sample_j: rate > 0");
-  }
-  return power_w(bits, sample_rate_hz) / sample_rate_hz;
-}
-
 double adc_energy_per_bit_j(const AdcModel& adc, const ReceiverOption& option,
                             double symbol_rate_hz) {
   if (!(option.info_rate_bpcu > 0.0)) {

@@ -10,17 +10,11 @@ namespace wi {
 /// Gaussian tail probability Q(x) = P(N(0,1) > x).
 [[nodiscard]] double qfunc(double x);
 
-/// Inverse of qfunc on (0, 1) via Newton iteration.
-[[nodiscard]] double qfunc_inv(double p);
-
 /// Standard normal CDF.
 [[nodiscard]] double normal_cdf(double x);
 
 /// Binary entropy H_b(p) in bits; returns 0 at p in {0,1}.
 [[nodiscard]] double binary_entropy(double p);
-
-/// x * log2(x) with the 0*log 0 = 0 convention.
-[[nodiscard]] double xlog2x(double x);
 
 /// n uniformly spaced points including both endpoints (n >= 2),
 /// or the single point {lo} for n == 1.
@@ -30,13 +24,5 @@ namespace wi {
 /// range. xs must be strictly increasing and the sizes must match.
 [[nodiscard]] double interp_linear(const std::vector<double>& xs,
                                    const std::vector<double>& ys, double x);
-
-/// Greatest common divisor of two non-negative integers.
-[[nodiscard]] unsigned long long gcd_u64(unsigned long long a,
-                                         unsigned long long b);
-
-/// True when |a - b| <= atol + rtol * |b|.
-[[nodiscard]] bool approx_equal(double a, double b, double rtol = 1e-9,
-                                double atol = 1e-12);
 
 }  // namespace wi

@@ -1,31 +1,11 @@
 #pragma once
 /// \file optimize.hpp
-/// \brief Derivative-free optimisation used by the ISI filter design and
-///        the required-Eb/N0 searches.
+/// \brief Derivative-free minimisation used by the ISI filter design.
 
 #include <functional>
 #include <vector>
 
 namespace wi {
-
-/// Result of a one-dimensional root/threshold search.
-struct RootResult {
-  double x = 0.0;        ///< location of the root/threshold
-  double fx = 0.0;       ///< residual at x
-  int iterations = 0;    ///< iterations spent
-  bool converged = false;
-};
-
-/// Bisection on a bracketing interval [lo, hi]; f(lo) and f(hi) must have
-/// opposite signs. Monotonicity is not required, only the bracket.
-[[nodiscard]] RootResult bisect(const std::function<double(double)>& f,
-                                double lo, double hi, double xtol = 1e-6,
-                                int max_iter = 100);
-
-/// Golden-section search for the minimum of a unimodal f on [lo, hi].
-[[nodiscard]] RootResult golden_section_min(
-    const std::function<double(double)>& f, double lo, double hi,
-    double xtol = 1e-6, int max_iter = 200);
 
 /// Options for Nelder–Mead.
 struct NelderMeadOptions {
@@ -48,12 +28,5 @@ struct MinimizeResult {
 [[nodiscard]] MinimizeResult nelder_mead(
     const std::function<double(const std::vector<double>&)>& f,
     const std::vector<double>& x0, const NelderMeadOptions& options = {});
-
-/// Cyclic coordinate descent with a shrinking step; cheap local polish
-/// for low-dimensional problems with bound constraints.
-[[nodiscard]] MinimizeResult coordinate_descent(
-    const std::function<double(const std::vector<double>&)>& f,
-    const std::vector<double>& x0, double initial_step = 0.25,
-    double min_step = 1e-4, int max_sweeps = 100);
 
 }  // namespace wi

@@ -8,7 +8,6 @@
 /// where (x_i, w_i) are the Gauss–Hermite nodes and weights.
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace wi {
@@ -28,10 +27,5 @@ struct GaussHermiteRule {
 /// SNR-grid point) always reuse the same handful of n values. The
 /// returned reference stays valid for the lifetime of the process.
 [[nodiscard]] const GaussHermiteRule& gauss_hermite_cached(std::size_t n);
-
-/// E[g(Z)] for Z ~ N(mean, stddev^2) using an n-point rule.
-[[nodiscard]] double gaussian_expectation(
-    const std::function<double(double)>& g, double mean, double stddev,
-    std::size_t n = 64);
 
 }  // namespace wi

@@ -100,13 +100,6 @@ class Rng {
   /// bit-compatible with the double path.
   std::uint64_t raw() { return next(); }
 
-  /// Number of arrivals of a Poisson process with the given mean
-  /// (Knuth's method for small means, normal approximation for large).
-  std::uint64_t poisson(double mean);
-
-  /// Exponential sample with the given rate (mean 1/rate).
-  double exponential(double rate);
-
  private:
   static std::uint64_t rotl64(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

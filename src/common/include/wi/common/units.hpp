@@ -20,11 +20,6 @@ namespace wi {
   return std::pow(10.0, db / 10.0);
 }
 
-/// Convert an amplitude (voltage) ratio to decibels (20 log10).
-[[nodiscard]] inline double amp_to_db(double amplitude) {
-  return 20.0 * std::log10(amplitude);
-}
-
 /// Convert decibels to an amplitude (voltage) ratio.
 [[nodiscard]] inline double db_to_amp(double db) {
   return std::pow(10.0, db / 20.0);
@@ -34,22 +29,5 @@ namespace wi {
 [[nodiscard]] inline double watt_to_dbm(double watt) {
   return 10.0 * std::log10(watt) + 30.0;
 }
-
-/// Convert power in dBm to watt.
-[[nodiscard]] inline double dbm_to_watt(double dbm) {
-  return std::pow(10.0, (dbm - 30.0) / 10.0);
-}
-
-/// Convert millimetres to metres.
-[[nodiscard]] inline double mm_to_m(double mm) { return mm * 1e-3; }
-
-/// Convert metres to millimetres.
-[[nodiscard]] inline double m_to_mm(double m) { return m * 1e3; }
-
-/// Convert gigahertz to hertz.
-[[nodiscard]] inline double ghz_to_hz(double ghz) { return ghz * 1e9; }
-
-/// Convert hertz to gigahertz.
-[[nodiscard]] inline double hz_to_ghz(double hz) { return hz * 1e-9; }
 
 }  // namespace wi

@@ -10,38 +10,9 @@ double qfunc(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
 
 double normal_cdf(double x) { return 1.0 - qfunc(x); }
 
-double qfunc_inv(double p) {
-  if (!(p > 0.0 && p < 1.0)) {
-    throw std::domain_error("qfunc_inv: p must lie in (0,1)");
-  }
-  // Initial guess from the Beasley–Springer/Moro-style approximation,
-  // then polish with Newton steps on Q(x) - p = 0.
-  double x = 0.0;
-  {
-    const double t = std::sqrt(-2.0 * std::log(std::min(p, 1.0 - p)));
-    double approx =
-        t - (2.30753 + 0.27061 * t) / (1.0 + t * (0.99229 + 0.04481 * t));
-    x = (p < 0.5) ? approx : -approx;
-  }
-  for (int i = 0; i < 60; ++i) {
-    const double f = qfunc(x) - p;
-    const double pdf = std::exp(-0.5 * x * x) / std::sqrt(2.0 * M_PI);
-    if (pdf < 1e-300) break;
-    const double step = f / pdf;  // dQ/dx = -pdf
-    x += step;
-    if (std::abs(step) < 1e-13 * std::max(1.0, std::abs(x))) break;
-  }
-  return x;
-}
-
 double binary_entropy(double p) {
   if (p <= 0.0 || p >= 1.0) return 0.0;
   return -p * std::log2(p) - (1.0 - p) * std::log2(1.0 - p);
-}
-
-double xlog2x(double x) {
-  if (x <= 0.0) return 0.0;
-  return x * std::log2(x);
 }
 
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
@@ -68,19 +39,6 @@ double interp_linear(const std::vector<double>& xs,
   const std::size_t lo = hi - 1;
   const double t = (x - xs[lo]) / (xs[hi] - xs[lo]);
   return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
-unsigned long long gcd_u64(unsigned long long a, unsigned long long b) {
-  while (b != 0) {
-    const unsigned long long r = a % b;
-    a = b;
-    b = r;
-  }
-  return a;
-}
-
-bool approx_equal(double a, double b, double rtol, double atol) {
-  return std::abs(a - b) <= atol + rtol * std::abs(b);
 }
 
 }  // namespace wi

@@ -7,73 +7,6 @@
 
 namespace wi {
 
-RootResult bisect(const std::function<double(double)>& f, double lo,
-                  double hi, double xtol, int max_iter) {
-  RootResult result;
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return {lo, 0.0, 0, true};
-  if (fhi == 0.0) return {hi, 0.0, 0, true};
-  if ((flo > 0.0) == (fhi > 0.0)) {
-    throw std::invalid_argument("bisect: interval does not bracket a root");
-  }
-  double mid = 0.5 * (lo + hi);
-  for (int i = 0; i < max_iter; ++i) {
-    mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    ++result.iterations;
-    if (fmid == 0.0 || (hi - lo) < xtol) {
-      result.converged = true;
-      result.x = mid;
-      result.fx = fmid;
-      return result;
-    }
-    if ((fmid > 0.0) == (flo > 0.0)) {
-      lo = mid;
-      flo = fmid;
-    } else {
-      hi = mid;
-    }
-  }
-  result.x = mid;
-  result.fx = f(mid);
-  result.converged = (hi - lo) < xtol;
-  return result;
-}
-
-RootResult golden_section_min(const std::function<double(double)>& f,
-                              double lo, double hi, double xtol,
-                              int max_iter) {
-  constexpr double kInvPhi = 0.6180339887498949;
-  double a = lo;
-  double b = hi;
-  double x1 = b - kInvPhi * (b - a);
-  double x2 = a + kInvPhi * (b - a);
-  double f1 = f(x1);
-  double f2 = f(x2);
-  RootResult result;
-  for (int i = 0; i < max_iter && (b - a) > xtol; ++i) {
-    ++result.iterations;
-    if (f1 < f2) {
-      b = x2;
-      x2 = x1;
-      f2 = f1;
-      x1 = b - kInvPhi * (b - a);
-      f1 = f(x1);
-    } else {
-      a = x1;
-      x1 = x2;
-      f1 = f2;
-      x2 = a + kInvPhi * (b - a);
-      f2 = f(x2);
-    }
-  }
-  result.x = 0.5 * (a + b);
-  result.fx = f(result.x);
-  result.converged = (b - a) <= xtol;
-  return result;
-}
-
 MinimizeResult nelder_mead(
     const std::function<double(const std::vector<double>&)>& f,
     const std::vector<double>& x0, const NelderMeadOptions& options) {
@@ -187,39 +120,6 @@ MinimizeResult nelder_mead(
       std::min_element(fvals.begin(), fvals.end()) - fvals.begin());
   result.x = simplex[best];
   result.fx = fvals[best];
-  return result;
-}
-
-MinimizeResult coordinate_descent(
-    const std::function<double(const std::vector<double>&)>& f,
-    const std::vector<double>& x0, double initial_step, double min_step,
-    int max_sweeps) {
-  MinimizeResult result;
-  std::vector<double> x = x0;
-  double fx = f(x);
-  ++result.evaluations;
-  double step = initial_step;
-  for (int sweep = 0; sweep < max_sweeps && step >= min_step; ++sweep) {
-    bool improved = false;
-    for (std::size_t j = 0; j < x.size(); ++j) {
-      for (const double direction : {+1.0, -1.0}) {
-        std::vector<double> candidate = x;
-        candidate[j] += direction * step;
-        const double fc = f(candidate);
-        ++result.evaluations;
-        if (fc < fx) {
-          x = std::move(candidate);
-          fx = fc;
-          improved = true;
-          break;
-        }
-      }
-    }
-    if (!improved) step *= 0.5;
-  }
-  result.x = std::move(x);
-  result.fx = fx;
-  result.converged = step < min_step;
   return result;
 }
 

@@ -81,16 +81,4 @@ const GaussHermiteRule& gauss_hermite_cached(std::size_t n) {
   return cache.emplace(n, gauss_hermite(n)).first->second;
 }
 
-double gaussian_expectation(const std::function<double(double)>& g,
-                            double mean, double stddev, std::size_t n) {
-  const GaussHermiteRule& rule = gauss_hermite_cached(n);
-  const double inv_sqrt_pi = 1.0 / std::sqrt(kPi);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = mean + stddev * std::sqrt(2.0) * rule.nodes[i];
-    sum += rule.weights[i] * g(x);
-  }
-  return sum * inv_sqrt_pi;
-}
-
 }  // namespace wi

@@ -21,29 +21,4 @@ void Rng::reseed(std::uint64_t seed) {
   has_cached_gaussian_ = false;
 }
 
-std::uint64_t Rng::poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double sample = gaussian(mean, std::sqrt(mean));
-  return sample <= 0.0 ? 0 : static_cast<std::uint64_t>(sample + 0.5);
-}
-
-double Rng::exponential(double rate) {
-  double u = 0.0;
-  do {
-    u = uniform();
-  } while (u <= 1e-300);
-  return -std::log(u) / rate;
-}
-
 }  // namespace wi

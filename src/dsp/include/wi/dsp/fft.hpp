@@ -28,12 +28,4 @@ using cplx = std::complex<double>;
 /// inverse = true computes the unnormalised inverse transform.
 void fft_radix2_inplace(std::vector<cplx>& x, bool inverse);
 
-/// Linear convolution of two real sequences (direct method).
-[[nodiscard]] std::vector<double> convolve(const std::vector<double>& a,
-                                           const std::vector<double>& b);
-
-/// Circular cross-correlation via FFT (used in tests).
-[[nodiscard]] std::vector<cplx> circular_correlation(
-    const std::vector<cplx>& a, const std::vector<cplx>& b);
-
 }  // namespace wi::dsp

@@ -1,6 +1,6 @@
 #pragma once
 /// \file window.hpp
-/// \brief Spectral windows and time gating for the VNA post-processing.
+/// \brief Spectral windows for the VNA post-processing.
 ///
 /// The synthetic channel sounder applies a window to the frequency sweep
 /// before the inverse transform to suppress sidelobes of the band-limited
@@ -20,11 +20,5 @@ enum class WindowKind {
 
 /// Window taps of the requested length (symmetric definition).
 [[nodiscard]] std::vector<double> make_window(WindowKind kind, std::size_t n);
-
-/// Zero out samples outside [start, stop) — crude time gate used to
-/// isolate the line-of-sight tap in impulse responses.
-[[nodiscard]] std::vector<double> time_gate(std::vector<double> x,
-                                            std::size_t start,
-                                            std::size_t stop);
 
 }  // namespace wi::dsp

@@ -97,27 +97,4 @@ std::vector<cplx> ifft(std::vector<cplx> x) {
   return x;
 }
 
-std::vector<double> convolve(const std::vector<double>& a,
-                             const std::vector<double>& b) {
-  if (a.empty() || b.empty()) return {};
-  std::vector<double> out(a.size() + b.size() - 1, 0.0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      out[i + j] += a[i] * b[j];
-    }
-  }
-  return out;
-}
-
-std::vector<cplx> circular_correlation(const std::vector<cplx>& a,
-                                       const std::vector<cplx>& b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("circular_correlation: size mismatch");
-  }
-  std::vector<cplx> fa = fft(a);
-  std::vector<cplx> fb = fft(b);
-  for (std::size_t i = 0; i < fa.size(); ++i) fa[i] *= std::conj(fb[i]);
-  return ifft(std::move(fa));
-}
-
 }  // namespace wi::dsp

@@ -31,12 +31,4 @@ std::vector<double> make_window(WindowKind kind, std::size_t n) {
   return w;
 }
 
-std::vector<double> time_gate(std::vector<double> x, std::size_t start,
-                              std::size_t stop) {
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (i < start || i >= stop) x[i] = 0.0;
-  }
-  return x;
-}
-
 }  // namespace wi::dsp

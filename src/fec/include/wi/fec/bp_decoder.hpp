@@ -1,8 +1,8 @@
 #pragma once
 /// \file bp_decoder.hpp
-/// \brief Belief-propagation decoding (sum-product and normalised
-///        min-sum) on a Tanner graph, with optional per-check parity
-///        targets so a window decoder can freeze already-decoded symbols.
+/// \brief Sum-product belief-propagation decoding on a Tanner graph,
+///        with optional per-check parity targets so a window decoder can
+///        freeze already-decoded symbols.
 
 #include <cstdint>
 #include <span>
@@ -12,13 +12,11 @@
 
 namespace wi::fec {
 
-/// Decoder settings.
+/// Decoder settings. Decoding stops at the first iteration whose hard
+/// decisions satisfy every check.
 struct BpOptions {
   int max_iterations = 50;
-  bool min_sum = false;          ///< normalised min-sum instead of tanh
-  double min_sum_scale = 0.75;   ///< normalisation factor
-  bool early_stop = true;        ///< stop when the syndrome matches
-  double llr_clip = 30.0;        ///< message clipping for stability
+  double llr_clip = 30.0;  ///< message clipping for stability
 };
 
 /// Decoding outcome.

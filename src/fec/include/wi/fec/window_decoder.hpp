@@ -57,9 +57,6 @@ class WindowDecoder {
   [[nodiscard]] const LdpcConvolutionalCode& code() const { return code_; }
   [[nodiscard]] std::size_t window() const { return window_; }
 
-  /// Structural latency, Eq. 4, using the asymptotic code rate.
-  [[nodiscard]] double structural_latency_bits() const;
-
  private:
   /// Precomputed subproblem for one window position (the Tanner graph
   /// of a window only depends on the position, not the codeword).

@@ -98,15 +98,9 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
   // Initial variable-to-check messages are the channel LLRs. Sum-product
   // reads them only through tanh, and every edge of a variable carries
   // the same one, so iteration 1 takes one tanh per variable instead.
-  if (options.min_sum) {
-    for (std::size_t e = 0; e < n_edges; ++e) {
-      v2c[e] = channel_llr[edge_var_[e]];
-    }
-  } else {
-    tanh_channel.resize(n_vars_);
-    for (std::size_t v = 0; v < n_vars_; ++v) {
-      tanh_channel[v] = half_tanh(channel_llr[v]);
-    }
+  tanh_channel.resize(n_vars_);
+  for (std::size_t v = 0; v < n_vars_; ++v) {
+    tanh_channel[v] = half_tanh(channel_llr[v]);
   }
   const auto syndrome_matches = [&] {
     for (std::size_t c = 0; c < n_checks_; ++c) {
@@ -131,63 +125,37 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
       const std::uint32_t end = check_edge_begin_[c + 1];
       const double target_sign =
           (check_parity != nullptr && (*check_parity)[c]) ? -1.0 : 1.0;
-      if (options.min_sum) {
-        // Track the two smallest magnitudes and the total sign.
-        double min1 = 1e300;
-        double min2 = 1e300;
-        std::uint32_t min1_edge = begin;
-        double sign_product = target_sign;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const double m = v2c[e];
-          const double mag = std::abs(m);
-          if (m < 0.0) sign_product = -sign_product;
-          if (mag < min1) {
-            min2 = min1;
-            min1 = mag;
-            min1_edge = e;
-          } else if (mag < min2) {
-            min2 = mag;
+      // Sum-product via the tanh rule: one tanh per edge into the
+      // cache, then leave-one-out by division, with an explicit
+      // product over the cache when a message saturates.
+      double prod = target_sign;
+      bool saturated = false;
+      for (std::uint32_t e = begin; e < end; ++e) {
+        const double t =
+            iter == 1 ? tanh_channel[edge_var_[e]] : half_tanh(v2c[e]);
+        tanh_half[e] = t;
+        if (std::abs(t) < 1e-12) saturated = true;
+        prod *= t;
+      }
+      for (std::uint32_t e = begin; e < end; ++e) {
+        double t_out;
+        const double t_e = tanh_half[e];
+        if (!saturated && std::abs(t_e) > 1e-12) {
+          t_out = prod / t_e;
+        } else {
+          t_out = target_sign;
+          for (std::uint32_t e2 = begin; e2 < end; ++e2) {
+            if (e2 == e) continue;
+            t_out *= tanh_half[e2];
           }
         }
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const double mag = (e == min1_edge) ? min2 : min1;
-          double sign = sign_product;
-          if (v2c[e] < 0.0) sign = -sign;
-          c2v[e] = clipped(options.min_sum_scale * sign * mag);
-        }
-      } else {
-        // Sum-product via the tanh rule: one tanh per edge into the
-        // cache, then leave-one-out by division, with an explicit
-        // product over the cache when a message saturates.
-        double prod = target_sign;
-        bool saturated = false;
-        for (std::uint32_t e = begin; e < end; ++e) {
-          const double t =
-              iter == 1 ? tanh_channel[edge_var_[e]] : half_tanh(v2c[e]);
-          tanh_half[e] = t;
-          if (std::abs(t) < 1e-12) saturated = true;
-          prod *= t;
-        }
-        for (std::uint32_t e = begin; e < end; ++e) {
-          double t_out;
-          const double t_e = tanh_half[e];
-          if (!saturated && std::abs(t_e) > 1e-12) {
-            t_out = prod / t_e;
-          } else {
-            t_out = target_sign;
-            for (std::uint32_t e2 = begin; e2 < end; ++e2) {
-              if (e2 == e) continue;
-              t_out *= tanh_half[e2];
-            }
-          }
-          t_out = std::clamp(t_out, -kTanhMax, kTanhMax);
-          if (t_out == kTanhMax) {
-            c2v[e] = c2v_hi;
-          } else if (t_out == -kTanhMax) {
-            c2v[e] = c2v_lo;
-          } else {
-            c2v[e] = clipped(2.0 * std::atanh(t_out));
-          }
+        t_out = std::clamp(t_out, -kTanhMax, kTanhMax);
+        if (t_out == kTanhMax) {
+          c2v[e] = c2v_hi;
+        } else if (t_out == -kTanhMax) {
+          c2v[e] = c2v_lo;
+        } else {
+          c2v[e] = clipped(2.0 * std::atanh(t_out));
         }
       }
     }
@@ -206,13 +174,14 @@ const BpResult& BpDecoder::decode(std::span<const double> channel_llr,
       }
     }
 
-    if (options.early_stop && syndrome_matches()) {
+    if (syndrome_matches()) {
       result.converged = true;
       return result;
     }
   }
-  // Final syndrome check when early_stop was off or never hit.
-  result.converged = syndrome_matches();
+  // Every iteration run failed the check above; a decode that ran none
+  // checks its all-zero decisions.
+  result.converged = result.iterations == 0 && syndrome_matches();
   return result;
 }
 

@@ -63,11 +63,6 @@ WindowDecoder::WindowDecoder(const LdpcConvolutionalCode& code,
   }
 }
 
-double WindowDecoder::structural_latency_bits() const {
-  return window_decoder_latency_bits(window_, code_.lifting(), code_.nv(),
-                                     code_.rate_asymptotic());
-}
-
 WindowDecodeResult WindowDecoder::decode(
     const std::vector<double>& channel_llr) const {
   WindowWorkspace workspace;

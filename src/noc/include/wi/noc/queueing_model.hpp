@@ -71,15 +71,6 @@ class QueueingModel {
   /// Injection rate where the first channel saturates (capacity).
   [[nodiscard]] double saturation_rate() const;
 
-  /// Latency-vs-injection sweep; saturated points report latency = inf.
-  struct SweepPoint {
-    double injection_rate = 0.0;
-    double latency_cycles = 0.0;
-    bool saturated = false;
-  };
-  [[nodiscard]] std::vector<SweepPoint> sweep(
-      const std::vector<double>& injection_rates) const;
-
   [[nodiscard]] const QueueingModelParams& params() const { return params_; }
 
  private:

@@ -264,15 +264,4 @@ double QueueingModel::saturation_rate() const {
   return best;
 }
 
-std::vector<QueueingModel::SweepPoint> QueueingModel::sweep(
-    const std::vector<double>& injection_rates) const {
-  std::vector<SweepPoint> points;
-  points.reserve(injection_rates.size());
-  for (const double rate : injection_rates) {
-    const NetworkPerformance perf = evaluate(rate);
-    points.push_back({rate, perf.mean_latency_cycles, perf.saturated});
-  }
-  return points;
-}
-
 }  // namespace wi::noc

@@ -6,7 +6,7 @@
 /// SimEngine turns a declarative ScenarioSpec into a structured
 /// ResultTable by dispatching to the workload's registered runner (see
 /// wi/sim/workload.hpp) — the engine itself is pure orchestration:
-/// grid expansion, the work-stealing pool, the shared PhyCurveCache
+/// the work-stealing pool, the shared PhyCurveCache
 /// and result plumbing, with no knowledge of any concrete workload.
 /// Per-scenario failures (invalid specs, unreachable routes, ...) are
 /// captured as a Status in the result — one bad grid point never aborts
@@ -40,7 +40,7 @@ struct RunResult {
 
 /// Engine options.
 struct EngineOptions {
-  /// Worker threads for run_all/run_sweep, and the fan-out budget of a
+  /// Worker threads for run_all, and the fan-out budget of a
   /// lone run(); 0 = hardware concurrency.
   std::size_t threads = 0;
   /// Reuse hook for engines embedded in an external worker pool (the
@@ -81,16 +81,6 @@ class SimEngine {
       const std::vector<ScenarioSpec>& specs, std::size_t threads = 0,
       const ResultCallback& on_result = {});
 
-  /// Expand a sweep grid, run it in parallel, and merge everything into
-  /// one long-format table: scenario + status columns, then the
-  /// workload's row schema. Failed points contribute one row with '-'
-  /// data cells and their status message; the sweep always completes,
-  /// but any failed point marks the merged result's status failed so
-  /// exit-code checks notice.
-  [[nodiscard]] RunResult run_sweep(const ScenarioSpec& base,
-                                    const std::vector<SweepAxis>& axes,
-                                    std::size_t threads = 0);
-
   [[nodiscard]] PhyCurveCache& phy_cache() { return phy_cache_; }
   [[nodiscard]] const PhyCurveCache& phy_cache() const { return phy_cache_; }
 
@@ -105,16 +95,8 @@ class SimEngine {
   PhyCurveCache phy_cache_;
 };
 
-/// Merge per-point sweep results into one long-format table (scenario +
-/// status columns before the workload's row schema). Failed points
-/// contribute one '-' row and mark the merged status failed. Shared by
-/// SimEngine::run_sweep and the ResultStore's resumable sweep.
-[[nodiscard]] RunResult merge_sweep_results(const std::string& sweep_name,
-                                            const std::string& workload,
-                                            const std::vector<RunResult>& runs);
-
-/// Print a run result (notes, then the table) — the shared output path
-/// of the ported benches.
+/// Print a run result (notes, then the table) — the output path of
+/// wi_run and the quickstart example.
 void print_result(std::ostream& os, const RunResult& result);
 
 }  // namespace wi::sim

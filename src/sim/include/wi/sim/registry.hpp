@@ -6,8 +6,8 @@
 /// The registry is the lookup half of the declarative API: benches,
 /// tools and tests fetch specs by name ("fig04_tx_power",
 /// "ablation_vertical_links", ...) instead of hand-wiring model stacks.
-/// Sweeps start from a registered base spec plus SweepAxis overrides
-/// (see expand_grid / SimEngine::run_sweep).
+/// A sweep is a list of specs, each a registered base with some fields
+/// changed, run together by SimEngine::run_all.
 
 #include <string>
 #include <vector>

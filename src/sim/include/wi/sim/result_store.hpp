@@ -123,13 +123,6 @@ class ResultStore {
       SimEngine& engine, const std::vector<ScenarioSpec>& specs,
       std::size_t threads = 0);
 
-  /// Resumable declarative sweep: expand_grid + cached run_all + merge.
-  /// Appends a "store: X hits / Y misses" note recording the split.
-  [[nodiscard]] RunResult run_sweep(SimEngine& engine,
-                                    const ScenarioSpec& base,
-                                    const std::vector<SweepAxis>& axes,
-                                    std::size_t threads = 0);
-
   /// Lifetime cache counters of this store instance. Counting happens
   /// inside load()/save() themselves, so concurrent callers (the
   /// wi_serve worker pool) get accurate numbers without extra locking.

@@ -11,14 +11,13 @@
 /// wi/sim/workload.hpp): shared system sections (geometry, link, phy,
 /// noc) live here, while workload-specific settings live in a
 /// dispatched WorkloadPayload owned by the spec and defined next to the
-/// workload's runner under src/sim/workloads/. Sweeps are expressed as
-/// a base spec plus SweepAxis overrides expanded into a scenario grid —
-/// no per-experiment glue code. Named paper figures/ablations are
-/// preloaded in ScenarioRegistry.
+/// workload's runner under src/sim/workloads/. A sweep is a list of
+/// specs (a JSON spec array under results/specs/) handed to
+/// SimEngine::run_all — no per-experiment glue code. Named paper
+/// figures/ablations are preloaded in ScenarioRegistry.
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -211,20 +210,5 @@ struct ScenarioSpec {
  private:
   std::unique_ptr<WorkloadPayload> payload_;
 };
-
-/// One sweep dimension: a named list of values and how to apply a value
-/// to a spec (usually a lambda writing one field).
-struct SweepAxis {
-  std::string name;
-  std::vector<double> values;
-  std::function<void(ScenarioSpec&, double)> apply;
-};
-
-/// Cartesian grid expansion: every combination of axis values applied
-/// to the base spec; names become "base/axis1=v1;axis2=v2". Axis order
-/// is significant (first axis varies slowest) and the result order is
-/// deterministic — the contract the parallel runner preserves.
-[[nodiscard]] std::vector<ScenarioSpec> expand_grid(
-    const ScenarioSpec& base, const std::vector<SweepAxis>& axes);
 
 }  // namespace wi::sim

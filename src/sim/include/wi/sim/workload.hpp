@@ -92,7 +92,7 @@ class WorkloadRunner {
   [[nodiscard]] virtual std::string description() const { return {}; }
 
   /// ResultTable column schema (stable independent of success/failure,
-  /// so merged sweep tables always line up).
+  /// so every result of one workload has the same columns).
   [[nodiscard]] virtual std::vector<std::string> headers() const = 0;
 
   /// Fresh default payload; nullptr when the workload has none.

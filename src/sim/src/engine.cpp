@@ -266,68 +266,6 @@ std::vector<RunResult> SimEngine::run_all(
   return results;
 }
 
-RunResult SimEngine::run_sweep(const ScenarioSpec& base,
-                               const std::vector<SweepAxis>& axes,
-                               std::size_t threads) {
-  const std::vector<ScenarioSpec> specs = expand_grid(base, axes);
-  const std::size_t hits_before = phy_cache_.hits();
-  const std::size_t misses_before = phy_cache_.misses();
-  const std::vector<RunResult> runs = run_all(specs, threads);
-
-  RunResult merged = merge_sweep_results(base.name, base.workload, runs);
-  // Deltas, not lifetime counters: a bench may run several sweeps on
-  // one engine and each note must describe its own sweep.
-  merged.notes.push_back(
-      Table::num(static_cast<long long>(runs.size())) + " grid points; " +
-      "phy curve cache: " +
-      Table::num(static_cast<long long>(phy_cache_.hits() - hits_before)) +
-      " hits / " +
-      Table::num(
-          static_cast<long long>(phy_cache_.misses() - misses_before)) +
-      " misses");
-  return merged;
-}
-
-RunResult merge_sweep_results(const std::string& sweep_name,
-                              const std::string& workload,
-                              const std::vector<RunResult>& runs) {
-  RunResult merged;
-  merged.scenario = sweep_name;
-  std::size_t failed = 0;
-  std::vector<std::string> headers = {"scenario", "status"};
-  const std::vector<std::string> schema = workload_headers(workload);
-  headers.insert(headers.end(), schema.begin(), schema.end());
-  merged.table = Table(headers);
-  for (const RunResult& r : runs) {
-    if (r.ok()) {
-      for (std::size_t i = 0; i < r.table.rows(); ++i) {
-        std::vector<std::string> cells = {r.scenario, "ok"};
-        const auto& row = r.table.row(i);
-        cells.insert(cells.end(), row.begin(), row.end());
-        merged.table.add_row(std::move(cells));
-      }
-    } else {
-      // Surface the failure as a row so the sweep itself survives.
-      ++failed;
-      std::vector<std::string> cells = {r.scenario, r.status.to_string()};
-      cells.insert(cells.end(), schema.size(), "-");
-      merged.table.add_row(std::move(cells));
-    }
-    for (const auto& note : r.notes) {
-      merged.notes.push_back(r.scenario + ": " + note);
-    }
-  }
-  if (failed > 0) {
-    // Aggregate failure so callers' exit-code checks see it; the
-    // per-point rows above carry the individual diagnoses.
-    merged.status = Status(
-        StatusCode::kExecutionError,
-        std::to_string(failed) + " of " + std::to_string(runs.size()) +
-            " grid points failed (see status column)");
-  }
-  return merged;
-}
-
 void print_result(std::ostream& os, const RunResult& result) {
   os << "# scenario: " << result.scenario << "\n";
   if (!result.ok()) os << "# status: " << result.status.to_string() << "\n";

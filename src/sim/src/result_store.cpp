@@ -330,21 +330,4 @@ std::vector<RunResult> ResultStore::run_all(
   return results;
 }
 
-RunResult ResultStore::run_sweep(SimEngine& engine, const ScenarioSpec& base,
-                                 const std::vector<SweepAxis>& axes,
-                                 std::size_t threads) {
-  const std::vector<ScenarioSpec> specs = expand_grid(base, axes);
-  const std::size_t hits_before = hits_;
-  const std::size_t misses_before = misses_;
-  const std::vector<RunResult> runs = run_all(engine, specs, threads);
-  RunResult merged = merge_sweep_results(base.name, base.workload, runs);
-  merged.notes.push_back(
-      Table::num(static_cast<long long>(runs.size())) +
-      " grid points; store: " +
-      Table::num(static_cast<long long>(hits_ - hits_before)) + " hits / " +
-      Table::num(static_cast<long long>(misses_ - misses_before)) +
-      " misses");
-  return merged;
-}
-
 }  // namespace wi::sim

@@ -1,6 +1,5 @@
 #include "wi/sim/scenario.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,16 +9,6 @@
 namespace wi::sim {
 
 namespace {
-
-[[nodiscard]] std::string format_value(double value) {
-  // Shortest round-trip representation: distinct axis values always get
-  // distinct grid-point names.
-  char buffer[32];
-  const auto [end, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc()) return "nan";
-  return {buffer, end};
-}
 
 [[nodiscard]] Status invalid(const std::string& message) {
   return {StatusCode::kInvalidSpec, message};
@@ -191,42 +180,6 @@ Status ScenarioSpec::validate() const {
   } catch (const StatusError& e) {
     return e.status();
   }
-}
-
-std::vector<ScenarioSpec> expand_grid(const ScenarioSpec& base,
-                                      const std::vector<SweepAxis>& axes) {
-  for (const auto& axis : axes) {
-    if (axis.values.empty()) {
-      throw StatusError(invalid("sweep axis '" + axis.name + "' is empty"));
-    }
-    if (!axis.apply) {
-      throw StatusError(
-          invalid("sweep axis '" + axis.name + "' has no apply function"));
-    }
-  }
-  std::vector<ScenarioSpec> out;
-  std::size_t total = 1;
-  for (const auto& axis : axes) total *= axis.values.size();
-  out.reserve(total);
-  // Mixed-radix counter over the axes; first axis varies slowest.
-  std::vector<std::size_t> index(axes.size(), 0);
-  for (std::size_t point = 0; point < total; ++point) {
-    ScenarioSpec spec = base;
-    std::string suffix;
-    for (std::size_t a = 0; a < axes.size(); ++a) {
-      const double value = axes[a].values[index[a]];
-      axes[a].apply(spec, value);
-      suffix += (a == 0 ? "/" : ";") + axes[a].name + "=" +
-                format_value(value);
-    }
-    spec.name += suffix;
-    out.push_back(std::move(spec));
-    for (std::size_t a = axes.size(); a-- > 0;) {
-      if (++index[a] < axes[a].values.size()) break;
-      index[a] = 0;
-    }
-  }
-  return out;
 }
 
 }  // namespace wi::sim

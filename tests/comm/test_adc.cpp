@@ -85,12 +85,6 @@ TEST(AdcModel, WaldenScaling) {
   EXPECT_NEAR(adc.power_w(1, 125e9), 12.5e-3, 1e-9);
 }
 
-TEST(AdcModel, EnergyPerSample) {
-  const AdcModel adc{50e-15};
-  EXPECT_NEAR(adc.energy_per_sample_j(1, 125e9), 100e-15, 1e-20);
-  EXPECT_THROW((void)adc.energy_per_sample_j(1, 0.0), std::invalid_argument);
-}
-
 TEST(AdcEnergyPerBit, OneBitOversamplingWins) {
   // The Sec. III argument: at 25 GBd, a 1-bit ADC at 5x oversampling
   // spends less ADC energy per information bit than an 8-bit Nyquist

@@ -23,18 +23,6 @@ TEST(Qfunc, Monotone) {
   }
 }
 
-TEST(Qfunc, InverseRoundTrip) {
-  for (const double p : {0.4, 0.1, 1e-2, 1e-3, 1e-5, 0.6, 0.9}) {
-    EXPECT_NEAR(qfunc(qfunc_inv(p)), p, p * 1e-6);
-  }
-}
-
-TEST(Qfunc, InverseRejectsOutOfRange) {
-  EXPECT_THROW((void)qfunc_inv(0.0), std::domain_error);
-  EXPECT_THROW((void)qfunc_inv(1.0), std::domain_error);
-  EXPECT_THROW((void)qfunc_inv(-0.1), std::domain_error);
-}
-
 TEST(NormalCdf, ComplementsQ) {
   for (double x = -3.0; x <= 3.0; x += 0.5) {
     EXPECT_NEAR(normal_cdf(x) + qfunc(x), 1.0, 1e-12);
@@ -51,13 +39,6 @@ TEST(BinaryEntropy, Symmetry) {
   for (const double p : {0.1, 0.25, 0.33, 0.45}) {
     EXPECT_NEAR(binary_entropy(p), binary_entropy(1.0 - p), 1e-12);
   }
-}
-
-TEST(Xlog2x, Values) {
-  EXPECT_DOUBLE_EQ(xlog2x(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(xlog2x(1.0), 0.0);
-  EXPECT_NEAR(xlog2x(2.0), 2.0, 1e-12);
-  EXPECT_NEAR(xlog2x(0.5), -0.5, 1e-12);
 }
 
 TEST(Linspace, EndpointsAndSpacing) {
@@ -90,20 +71,6 @@ TEST(InterpLinear, InteriorAndClamping) {
 TEST(InterpLinear, RejectsBadInput) {
   EXPECT_THROW((void)interp_linear({}, {}, 0.0), std::invalid_argument);
   EXPECT_THROW((void)interp_linear({1.0}, {1.0, 2.0}, 0.0), std::invalid_argument);
-}
-
-TEST(Gcd, Values) {
-  EXPECT_EQ(gcd_u64(12, 18), 6ull);
-  EXPECT_EQ(gcd_u64(17, 5), 1ull);
-  EXPECT_EQ(gcd_u64(0, 7), 7ull);
-  EXPECT_EQ(gcd_u64(7, 0), 7ull);
-}
-
-TEST(ApproxEqual, Tolerances) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0));
-  EXPECT_TRUE(approx_equal(1.0 + 1e-12, 1.0));
-  EXPECT_FALSE(approx_equal(1.01, 1.0));
-  EXPECT_TRUE(approx_equal(1.01, 1.0, 0.05));
 }
 
 }  // namespace

@@ -2,42 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace wi {
 namespace {
-
-TEST(Bisect, FindsRootOfLinear) {
-  const auto result = bisect([](double x) { return x - 3.0; }, 0.0, 10.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, 3.0, 1e-5);
-}
-
-TEST(Bisect, FindsRootOfTranscendental) {
-  const auto result =
-      bisect([](double x) { return std::cos(x); }, 0.0, 3.0, 1e-9);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, M_PI / 2.0, 1e-8);
-}
-
-TEST(Bisect, RejectsNonBracketing) {
-  EXPECT_THROW((void)bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0),
-               std::invalid_argument);
-}
-
-TEST(Bisect, ExactEndpointRoot) {
-  const auto result = bisect([](double x) { return x; }, 0.0, 1.0);
-  EXPECT_TRUE(result.converged);
-  EXPECT_DOUBLE_EQ(result.x, 0.0);
-}
-
-TEST(GoldenSection, FindsParabolaMinimum) {
-  const auto result = golden_section_min(
-      [](double x) { return (x - 2.5) * (x - 2.5) + 1.0; }, 0.0, 10.0, 1e-8);
-  EXPECT_TRUE(result.converged);
-  EXPECT_NEAR(result.x, 2.5, 1e-6);
-  EXPECT_NEAR(result.fx, 1.0, 1e-10);
-}
 
 TEST(NelderMead, MinimizesQuadraticBowl) {
   const auto result = nelder_mead(
@@ -83,16 +49,6 @@ TEST(NelderMead, RejectsEmptyStart) {
   EXPECT_THROW(
       nelder_mead([](const std::vector<double>&) { return 0.0; }, {}),
       std::invalid_argument);
-}
-
-TEST(CoordinateDescent, PolishesQuadratic) {
-  const auto result = coordinate_descent(
-      [](const std::vector<double>& x) {
-        return (x[0] - 4.0) * (x[0] - 4.0) + (x[1] - 1.0) * (x[1] - 1.0);
-      },
-      {0.0, 0.0}, 1.0, 1e-6, 200);
-  EXPECT_NEAR(result.x[0], 4.0, 1e-3);
-  EXPECT_NEAR(result.x[1], 1.0, 1e-3);
 }
 
 }  // namespace

@@ -55,8 +55,10 @@ constexpr std::size_t kIterations = 200;
   for (std::size_t c = 0; c < columns; ++c) {
     // Headers must be unique? No — the Table does not require it; keep
     // them printable but allow hazards too.
-    headers.push_back("h" + std::to_string(c) +
-                      (rng.uniform_int(4) == 0 ? ",x" : ""));
+    std::string header = "h";
+    header += std::to_string(c);
+    if (rng.uniform_int(4) == 0) header += ",x";
+    headers.push_back(std::move(header));
   }
   Table table(std::move(headers));
   const std::size_t rows = rng.uniform_int(9);  // 0..8, empty included

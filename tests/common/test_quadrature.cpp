@@ -42,22 +42,5 @@ TEST(GaussHermite, RejectsBadSizes) {
   EXPECT_THROW(gauss_hermite(300), std::invalid_argument);
 }
 
-TEST(GaussianExpectation, MomentsOfShiftedGaussian) {
-  // E[Z] and E[Z^2] for Z ~ N(3, 4).
-  const double mean =
-      gaussian_expectation([](double z) { return z; }, 3.0, 2.0);
-  const double second =
-      gaussian_expectation([](double z) { return z * z; }, 3.0, 2.0);
-  EXPECT_NEAR(mean, 3.0, 1e-10);
-  EXPECT_NEAR(second, 13.0, 1e-9);  // var + mean^2 = 4 + 9
-}
-
-TEST(GaussianExpectation, NonlinearFunction) {
-  // E[cos(Z)] for Z ~ N(0,1) = e^{-1/2}.
-  const double value =
-      gaussian_expectation([](double z) { return std::cos(z); }, 0.0, 1.0);
-  EXPECT_NEAR(value, std::exp(-0.5), 1e-8);
-}
-
 }  // namespace
 }  // namespace wi

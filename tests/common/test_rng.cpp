@@ -104,35 +104,5 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, PoissonSmallMean) {
-  Rng rng(9);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(2.5));
-  EXPECT_NEAR(sum / n, 2.5, 0.05);
-}
-
-TEST(Rng, PoissonLargeMeanUsesNormalApprox) {
-  Rng rng(10);
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.poisson(80.0));
-  EXPECT_NEAR(sum / n, 80.0, 0.5);
-}
-
-TEST(Rng, PoissonZeroMean) {
-  Rng rng(11);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
-  EXPECT_EQ(rng.poisson(-1.0), 0u);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(12);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(4.0);
-  EXPECT_NEAR(sum / n, 0.25, 0.005);
-}
-
 }  // namespace
 }  // namespace wi

@@ -24,23 +24,12 @@ TEST(Units, AmplitudeVsPower) {
   // 20 dB in amplitude is a factor 10; in power a factor 100.
   EXPECT_NEAR(db_to_amp(20.0), 10.0, 1e-12);
   EXPECT_NEAR(db_to_lin(20.0), 100.0, 1e-12);
-  EXPECT_NEAR(amp_to_db(10.0), 20.0, 1e-12);
 }
 
-TEST(Units, DbmWattRoundTrip) {
-  EXPECT_NEAR(dbm_to_watt(0.0), 1e-3, 1e-15);
-  EXPECT_NEAR(dbm_to_watt(30.0), 1.0, 1e-12);
+TEST(Units, WattToDbm) {
   EXPECT_NEAR(watt_to_dbm(1e-3), 0.0, 1e-12);
-  for (const double dbm : {-60.0, -15.75, 0.0, 33.79}) {
-    EXPECT_NEAR(watt_to_dbm(dbm_to_watt(dbm)), dbm, 1e-10);
-  }
-}
-
-TEST(Units, LengthAndFrequency) {
-  EXPECT_DOUBLE_EQ(mm_to_m(100.0), 0.1);
-  EXPECT_DOUBLE_EQ(m_to_mm(0.3), 300.0);
-  EXPECT_DOUBLE_EQ(ghz_to_hz(232.5), 232.5e9);
-  EXPECT_DOUBLE_EQ(hz_to_ghz(25e9), 25.0);
+  EXPECT_NEAR(watt_to_dbm(1.0), 30.0, 1e-12);
+  EXPECT_NEAR(watt_to_dbm(2e-3), 3.0102999566398120, 1e-12);
 }
 
 TEST(Constants, ThermalNoiseDensity) {

@@ -123,43 +123,5 @@ TEST(Fft, Radix2RejectsNonPowerOfTwo) {
   EXPECT_THROW(fft_radix2_inplace(x, false), std::invalid_argument);
 }
 
-TEST(Convolve, KnownResult) {
-  const auto out = convolve({1.0, 2.0, 3.0}, {1.0, 1.0});
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_DOUBLE_EQ(out[0], 1.0);
-  EXPECT_DOUBLE_EQ(out[1], 3.0);
-  EXPECT_DOUBLE_EQ(out[2], 5.0);
-  EXPECT_DOUBLE_EQ(out[3], 3.0);
-}
-
-TEST(Convolve, EmptyInput) {
-  EXPECT_TRUE(convolve({}, {1.0}).empty());
-  EXPECT_TRUE(convolve({1.0}, {}).empty());
-}
-
-TEST(CircularCorrelation, DeltaPeaksAtLag) {
-  // Correlating a sequence with a circularly shifted copy peaks at the
-  // shift.
-  Rng rng(25);
-  const std::size_t n = 64;
-  std::vector<cplx> a(n);
-  for (auto& v : a) v = {rng.gaussian(), 0.0};
-  std::vector<cplx> b(n);
-  const std::size_t shift = 10;
-  for (std::size_t i = 0; i < n; ++i) b[i] = a[(i + shift) % n];
-  const auto corr = circular_correlation(b, a);
-  std::size_t peak = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (std::abs(corr[i]) > std::abs(corr[peak])) peak = i;
-  }
-  EXPECT_EQ(peak, n - shift);
-}
-
-TEST(CircularCorrelation, RejectsSizeMismatch) {
-  EXPECT_THROW(circular_correlation(std::vector<cplx>(4),
-                                    std::vector<cplx>(8)),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace wi::dsp

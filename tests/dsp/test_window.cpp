@@ -57,16 +57,5 @@ TEST(Window, DegenerateSizes) {
   EXPECT_DOUBLE_EQ(one[0], 1.0);
 }
 
-TEST(TimeGate, ZeroesOutsideRange) {
-  const auto gated = time_gate({1.0, 2.0, 3.0, 4.0, 5.0}, 1, 3);
-  const std::vector<double> expected = {0.0, 2.0, 3.0, 0.0, 0.0};
-  EXPECT_EQ(gated, expected);
-}
-
-TEST(TimeGate, FullRangeIsIdentity) {
-  const std::vector<double> x = {1.0, 2.0, 3.0};
-  EXPECT_EQ(time_gate(x, 0, 3), x);
-}
-
 }  // namespace
 }  // namespace wi::dsp

@@ -52,22 +52,6 @@ TEST(BpDecoder, RespectsCheckParityTargets) {
   EXPECT_EQ(result.hard[1], 0);
 }
 
-TEST(BpDecoder, MinSumAlsoDecodes) {
-  const QcLdpcBlockCode code(BaseMatrix({{4, 4}}), 60, 2);
-  const BpDecoder decoder(code.parity_check());
-  Rng rng(31);
-  const double sigma = 0.6;
-  std::vector<double> llr(code.block_length());
-  for (auto& v : llr) {
-    v = 2.0 / (sigma * sigma) * (1.0 + sigma * rng.gaussian());
-  }
-  BpOptions options;
-  options.min_sum = true;
-  const BpResult result = decoder.decode(llr, options);
-  EXPECT_TRUE(result.converged);
-  for (const auto bit : result.hard) EXPECT_EQ(bit, 0);
-}
-
 TEST(BpDecoder, SumProductCorrectsModerateNoise) {
   const QcLdpcBlockCode code(BaseMatrix({{4, 4}}), 100, 7);
   const BpDecoder decoder(code.parity_check());
@@ -88,13 +72,33 @@ TEST(BpDecoder, SumProductCorrectsModerateNoise) {
 }
 
 TEST(BpDecoder, IterationCapRespected) {
-  const SparseBinaryMatrix h = tiny_h();
+  // Two copies of one check with opposite parity targets: no decision
+  // satisfies both, so decoding runs to the cap.
+  SparseBinaryMatrix h(2, 2);
+  h.insert(0, 0);
+  h.insert(0, 1);
+  h.insert(1, 0);
+  h.insert(1, 1);
   const BpDecoder decoder(h);
+  const std::vector<std::uint8_t> parity = {0, 1};
   BpOptions options;
   options.max_iterations = 3;
-  options.early_stop = false;
-  const BpResult result = decoder.decode({1.0, -1.0, 1.0, -1.0}, options);
+  const BpResult result = decoder.decode({1.0, -1.0}, options, &parity);
   EXPECT_EQ(result.iterations, 3);
+  EXPECT_FALSE(result.converged);
+}
+
+TEST(BpDecoder, ZeroIterationsChecksAllZeroDecisions) {
+  const BpDecoder decoder(tiny_h());
+  BpOptions options;
+  options.max_iterations = 0;
+  const BpResult even = decoder.decode({-1.0, 1.0, 1.0, 1.0}, options);
+  EXPECT_EQ(even.iterations, 0);
+  EXPECT_TRUE(even.converged);  // all-zero decisions satisfy H
+  const std::vector<std::uint8_t> parity = {1, 0};
+  const BpResult odd =
+      decoder.decode({-1.0, 1.0, 1.0, 1.0}, options, &parity);
+  EXPECT_FALSE(odd.converged);
 }
 
 TEST(BpDecoder, PosteriorsSharpenChannelLlrs) {
@@ -112,21 +116,6 @@ TEST(BpDecoder, RejectsBadInputSizes) {
   const std::vector<std::uint8_t> bad_parity = {0};
   EXPECT_THROW(decoder.decode({1, 1, 1, 1}, BpOptions{}, &bad_parity),
                std::invalid_argument);
-}
-
-TEST(BpDecoder, MinSumScaleAffectsMagnitudesOnly) {
-  const SparseBinaryMatrix h = tiny_h();
-  const BpDecoder decoder(h);
-  BpOptions full;
-  full.min_sum = true;
-  full.min_sum_scale = 1.0;
-  BpOptions scaled;
-  scaled.min_sum = true;
-  scaled.min_sum_scale = 0.5;
-  const BpResult a = decoder.decode({3.0, 3.0, 3.0, 3.0}, full);
-  const BpResult b = decoder.decode({3.0, 3.0, 3.0, 3.0}, scaled);
-  EXPECT_EQ(a.hard, b.hard);
-  EXPECT_GT(a.llr_out[0], b.llr_out[0]);
 }
 
 }  // namespace

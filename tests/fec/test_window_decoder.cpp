@@ -22,13 +22,16 @@ TEST(WindowDecoder, RejectsTooSmallWindow) {
 }
 
 TEST(WindowDecoder, StructuralLatencyEq4) {
+  const auto latency = [](const LdpcConvolutionalCode& code,
+                          std::size_t window) {
+    return window_decoder_latency_bits(window, code.lifting(), code.nv(),
+                                       code.rate_asymptotic());
+  };
   const auto code = make_code(40, 20);
-  EXPECT_DOUBLE_EQ(WindowDecoder(code, 5).structural_latency_bits(), 200.0);
-  EXPECT_DOUBLE_EQ(WindowDecoder(code, 3).structural_latency_bits(), 120.0);
+  EXPECT_DOUBLE_EQ(latency(code, 5), 200.0);
+  EXPECT_DOUBLE_EQ(latency(code, 3), 120.0);
   // Latency independent of L (the paper's remark on Eq. 4).
-  const auto longer = make_code(40, 60);
-  EXPECT_DOUBLE_EQ(WindowDecoder(longer, 5).structural_latency_bits(),
-                   200.0);
+  EXPECT_DOUBLE_EQ(latency(make_code(40, 60), 5), 200.0);
 }
 
 TEST(WindowDecoder, CleanChannelDecodesToZero) {

@@ -64,7 +64,10 @@ TEST(WindowVsFullBp, WindowLatencyIsTheOnlyDifferenceKnob) {
                                    33);
   const WindowDecoder w3(code, 3);
   const WindowDecoder w8(code, 8);
-  EXPECT_LT(w3.structural_latency_bits(), w8.structural_latency_bits());
+  EXPECT_LT(window_decoder_latency_bits(3, code.lifting(), code.nv(),
+                                       code.rate_asymptotic()),
+            window_decoder_latency_bits(8, code.lifting(), code.nv(),
+                                        code.rate_asymptotic()));
   // Both decode the same (clean) word.
   const std::vector<double> llr(code.codeword_length(), 6.0);
   EXPECT_EQ(w3.decode(llr).hard, w8.decode(llr).hard);

@@ -83,35 +83,38 @@ TEST(Reproducibility, FlitSimBitIdentical) {
 }
 
 TEST(Reproducibility, ParallelSweepMatchesSingleThreaded) {
-  // The sim acceptance contract: a registry-driven sweep of >= 100 grid
-  // points run through the work-stealing parallel runner reproduces the
-  // single-threaded ResultTable cell-for-cell, and repeated receiver
+  // The sim acceptance contract: a registry-driven sweep of 100 specs
+  // run through the work-stealing parallel runner reproduces the
+  // single-threaded results cell-for-cell, and repeated receiver
   // configurations are served from the PhyCurveCache.
   const sim::ScenarioSpec base =
       sim::ScenarioRegistry::paper().get("quickstart_link_rate");
-  const std::vector<sim::SweepAxis> axes = {
-      {"ptx",
-       linspace(0.0, 18.0, 10),
-       [](sim::ScenarioSpec& spec, double value) {
-         spec.link.ptx_dbm = value;
-       }},
-      {"sep",
-       linspace(60.0, 150.0, 10),
-       [](sim::ScenarioSpec& spec, double value) {
-         spec.geometry.separation_mm = value;
-       }},
-  };
+  std::vector<sim::ScenarioSpec> specs;
+  for (const double ptx : linspace(0.0, 18.0, 10)) {
+    for (const double sep : linspace(60.0, 150.0, 10)) {
+      sim::ScenarioSpec spec = base;
+      spec.link.ptx_dbm = ptx;
+      spec.geometry.separation_mm = sep;
+      specs.push_back(std::move(spec));
+    }
+  }
 
   sim::SimEngine serial_engine;
-  const sim::RunResult serial = serial_engine.run_sweep(base, axes, 1);
+  const auto serial = serial_engine.run_all(specs, 1);
   sim::SimEngine parallel_engine;
-  const sim::RunResult parallel = parallel_engine.run_sweep(base, axes, 4);
+  const auto parallel = parallel_engine.run_all(specs, 4);
 
-  ASSERT_GE(serial.table.rows(), 100u);
-  EXPECT_TRUE(serial.table == parallel.table);
+  ASSERT_EQ(serial.size(), 100u);
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok()) << serial[i].status.to_string();
+    EXPECT_TRUE(serial[i].status == parallel[i].status);
+    EXPECT_TRUE(serial[i].table == parallel[i].table);
+    EXPECT_EQ(serial[i].notes, parallel[i].notes);
+  }
 
-  // 100 grid points share one receiver configuration: one build, the
-  // rest are cache hits — at both thread counts.
+  // 100 specs share one receiver configuration: one build, the rest
+  // are cache hits — at both thread counts.
   EXPECT_EQ(serial_engine.phy_cache().misses(), 1u);
   EXPECT_GE(serial_engine.phy_cache().hits(), 99u);
   EXPECT_EQ(parallel_engine.phy_cache().misses(), 1u);

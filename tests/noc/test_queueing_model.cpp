@@ -64,17 +64,6 @@ TEST(QueueingModel, MaxChannelLoadScalesLinearly) {
   EXPECT_NEAR(load2, 2.0 * load1, 1e-9);
 }
 
-TEST(QueueingModel, SweepMatchesEvaluate) {
-  const QueueingModel model = make_model(Topology::mesh_2d(4, 4));
-  const auto points = model.sweep({0.05, 0.1, 0.2});
-  ASSERT_EQ(points.size(), 3u);
-  for (const auto& p : points) {
-    const auto perf = model.evaluate(p.injection_rate);
-    EXPECT_DOUBLE_EQ(p.latency_cycles, perf.mean_latency_cycles);
-    EXPECT_EQ(p.saturated, perf.saturated);
-  }
-}
-
 TEST(QueueingModel, RouterDelayScalesZeroLoad) {
   const Topology t = Topology::mesh_2d(4, 4);
   const DimensionOrderRouting routing;

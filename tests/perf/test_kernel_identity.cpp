@@ -189,21 +189,7 @@ TEST(KernelIdentity, BpDecoderSaturatedFallback) {
   }
 }
 
-TEST(KernelIdentity, BpDecoderMinSum) {
-  const auto& code = block_code(150);
-  const wi::fec::BpDecoder fast(code.parity_check());
-  const wi::perf_baseline::BpDecoder frozen(code.parity_check());
-  wi::fec::BpOptions options;
-  options.min_sum = true;
-  wi::fec::BpWorkspace workspace;
-  for (const double ebn0 : {1.5, 3.0}) {
-    const auto llr = channel_llrs(code.block_length(), ebn0, 0.5, 21);
-    expect_same_bp(fast.decode(llr, options, nullptr, workspace),
-                   frozen.decode(llr, options), "min-sum");
-  }
-}
-
-TEST(KernelIdentity, BpDecoderCheckParityAndNoEarlyStop) {
+TEST(KernelIdentity, BpDecoderCheckParity) {
   const auto& code = block_code(150);
   const wi::fec::BpDecoder fast(code.parity_check());
   const wi::perf_baseline::BpDecoder frozen(code.parity_check());
@@ -212,18 +198,12 @@ TEST(KernelIdentity, BpDecoderCheckParityAndNoEarlyStop) {
   for (auto& p : parity) p = rng.uniform() < 0.3 ? 1 : 0;
   const auto llr = channel_llrs(code.block_length(), 2.5, 0.5, 31);
   wi::fec::BpWorkspace workspace;
-  for (const bool min_sum : {false, true}) {
-    for (const bool early_stop : {true, false}) {
-      wi::fec::BpOptions options;
-      options.min_sum = min_sum;
-      options.early_stop = early_stop;
-      options.max_iterations = 12;
-      expect_same_bp(fast.decode(llr, options, &parity, workspace),
-                     frozen.decode(llr, options, &parity), "parity");
-      expect_same_bp(fast.decode(llr, options, nullptr, workspace),
-                     frozen.decode(llr, options), "no early stop");
-    }
-  }
+  wi::fec::BpOptions options;
+  options.max_iterations = 12;
+  expect_same_bp(fast.decode(llr, options, &parity, workspace),
+                 frozen.decode(llr, options, &parity), "parity");
+  expect_same_bp(fast.decode(llr, options, nullptr, workspace),
+                 frozen.decode(llr, options), "iteration cap");
 }
 
 TEST(KernelIdentity, BpDecoderWorkspaceReusedAcrossCodeSizes) {
@@ -319,25 +299,19 @@ TEST(KernelIdentity, WindowDecoderAcrossWindowsAndNoise) {
   }
 }
 
-TEST(KernelIdentity, WindowDecoderMinSumSaturatedAndNoEarlyStop) {
+TEST(KernelIdentity, WindowDecoderSaturatedAndIterationCap) {
   const wi::fec::LdpcConvolutionalCode code(
       wi::fec::EdgeSpreading::paper_example(), 25, 8, 25);
   auto llr = channel_llrs(code.codeword_length(), 2.0,
                           code.rate_asymptotic(), 9);
   for (std::size_t i = 0; i < llr.size(); i += 11) llr[i] = 0.0;
   wi::fec::WindowWorkspace workspace;
-  for (const bool min_sum : {false, true}) {
-    for (const bool early_stop : {true, false}) {
-      wi::fec::BpOptions options;
-      options.min_sum = min_sum;
-      options.early_stop = early_stop;
-      options.max_iterations = 15;
-      const wi::fec::WindowDecoder fast(code, 4, options);
-      const wi::perf_baseline::WindowDecoder frozen(code, 4, options);
-      expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
-                         "options");
-    }
-  }
+  wi::fec::BpOptions options;
+  options.max_iterations = 15;
+  const wi::fec::WindowDecoder fast(code, 4, options);
+  const wi::perf_baseline::WindowDecoder frozen(code, 4, options);
+  expect_same_window(fast.decode(llr, workspace), frozen.decode(llr),
+                     "options");
 }
 
 TEST(KernelIdentity, WindowDecoderWorkspaceReusedAcrossCodes) {

@@ -107,8 +107,8 @@ TEST(SimEngine, UnreachableRouteSurfacesAsStatus) {
 }
 
 TEST(SimEngine, SweepSurvivesBadGridPoints) {
-  // One axis value produces an unroutable topology; the sweep must
-  // still complete and surface that point as an error row.
+  // One spec of the sweep has an unroutable topology; run_all must
+  // still return every result, that one as a Status, in input order.
   SimEngine engine;
   ScenarioSpec base;
   base.name = "sweep";
@@ -118,23 +118,21 @@ TEST(SimEngine, SweepSurvivesBadGridPoints) {
   base.noc.topology.ky = 2;
   base.noc.topology.kz = 2;
   base.noc.injection_rates = {0.05};
-  const SweepAxis axis{"period",
-                       {1.0, 2.0},
-                       [](ScenarioSpec& spec, double value) {
-                         spec.noc.topology.tsv_period =
-                             static_cast<std::size_t>(value);
-                       }};
-  const RunResult merged = engine.run_sweep(base, {axis});
-  ASSERT_EQ(merged.table.rows(), 2u);
-  // Partial failure marks the aggregate status failed (exit codes), but
-  // every point's row is present.
-  EXPECT_FALSE(merged.ok());
-  EXPECT_NE(merged.status.message().find("1 of 2"), std::string::npos);
-  EXPECT_EQ(merged.table.cell(0, 1), "ok");
-  EXPECT_NE(merged.table.cell(1, 1).find("unreachable_route"),
-            std::string::npos);
-  // Failed point fills its data cells with '-'.
-  EXPECT_EQ(merged.table.cell(1, 2), "-");
+  std::vector<ScenarioSpec> specs;
+  for (const std::size_t period : {1, 2}) {
+    ScenarioSpec spec = base;
+    spec.name += "/period=" + std::to_string(period);
+    spec.noc.topology.tsv_period = period;
+    specs.push_back(std::move(spec));
+  }
+  const std::vector<RunResult> results = engine.run_all(specs);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].scenario, "sweep/period=1");
+  EXPECT_TRUE(results[0].ok()) << results[0].status.to_string();
+  EXPECT_GT(results[0].table.rows(), 0u);
+  EXPECT_EQ(results[1].scenario, "sweep/period=2");
+  EXPECT_EQ(results[1].status.code(), StatusCode::kUnreachableRoute);
+  EXPECT_EQ(results[1].table.rows(), 0u);
 }
 
 TEST(SimEngine, RunAllPreservesInputOrder) {

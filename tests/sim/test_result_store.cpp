@@ -35,6 +35,28 @@ class ResultStoreTest : public ::testing::Test {
     return ScenarioRegistry::paper().get("table1_link_budget");
   }
 
+  /// Four cheap specs that differ only in transmit power.
+  [[nodiscard]] static std::vector<ScenarioSpec> ptx_specs() {
+    std::vector<ScenarioSpec> specs;
+    for (const int ptx : {0, 5, 10, 15}) {
+      ScenarioSpec spec = cheap_spec();
+      spec.name += "/ptx=" + std::to_string(ptx);
+      spec.link.ptx_dbm = ptx;
+      specs.push_back(std::move(spec));
+    }
+    return specs;
+  }
+
+  static void expect_same_tables(const std::vector<RunResult>& a,
+                                 const std::vector<RunResult>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_TRUE(a[i].ok()) << a[i].status.to_string();
+      EXPECT_EQ(a[i].scenario, b[i].scenario);
+      EXPECT_EQ(a[i].table, b[i].table);
+    }
+  }
+
   fs::path dir_;
 };
 
@@ -236,25 +258,20 @@ TEST_F(ResultStoreTest, CorruptEntryIsDiagnosedOncePerPath) {
 
 TEST_F(ResultStoreTest, CountersTrackResumePaths) {
   // Mirrors the sweep-resume scenario at counter level: 2 pre-seeded
-  // entries + 2 fresh points = 2 hits, 2 misses, 2 inserts on resume.
-  const ScenarioSpec base = cheap_spec();
-  const SweepAxis axis{"ptx",
-                       {0, 5, 10, 15},
-                       [](ScenarioSpec& spec, double value) {
-                         spec.link.ptx_dbm = value;
-                       }};
+  // entries + 2 fresh specs = 2 hits, 2 misses, 2 inserts on resume.
+  const std::vector<ScenarioSpec> specs = ptx_specs();
   {
     ResultStore store = make_store();
     SimEngine engine;
-    const auto grid = expand_grid(base, {axis});
-    store.save(grid[1], engine.run(grid[1]));
-    store.save(grid[3], engine.run(grid[3]));
+    store.save(specs[1], engine.run(specs[1]));
+    store.save(specs[3], engine.run(specs[3]));
     EXPECT_EQ(store.inserts(), 2u);
   }
   ResultStore store = make_store();
   SimEngine engine;
-  const RunResult merged = store.run_sweep(engine, base, {axis});
-  EXPECT_TRUE(merged.ok());
+  for (const RunResult& r : store.run_all(engine, specs)) {
+    EXPECT_TRUE(r.ok()) << r.status.to_string();
+  }
   const ResultStoreStats stats = store.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
@@ -262,51 +279,38 @@ TEST_F(ResultStoreTest, CountersTrackResumePaths) {
 }
 
 TEST_F(ResultStoreTest, SweepResumesPerRowAfterInterruption) {
-  const ScenarioSpec base = cheap_spec();
-  const SweepAxis axis{"ptx",
-                       {0, 5, 10, 15},
-                       [](ScenarioSpec& spec, double value) {
-                         spec.link.ptx_dbm = value;
-                       }};
-  // "Interrupted" first attempt: only two grid points got persisted.
+  const std::vector<ScenarioSpec> specs = ptx_specs();
+  // "Interrupted" first attempt: only two specs got persisted.
   {
     ResultStore store = make_store();
     SimEngine engine;
-    const auto grid = expand_grid(base, {axis});
-    ASSERT_EQ(grid.size(), 4u);
-    store.save(grid[0], engine.run(grid[0]));
-    store.save(grid[2], engine.run(grid[2]));
+    store.save(specs[0], engine.run(specs[0]));
+    store.save(specs[2], engine.run(specs[2]));
   }
-  // Resume: the sweep only executes the two missing points.
+  // Resume: only the two missing specs execute.
   ResultStore store = make_store();
   SimEngine engine;
-  const RunResult merged = store.run_sweep(engine, base, {axis});
-  EXPECT_TRUE(merged.ok());
+  const std::vector<RunResult> resumed = store.run_all(engine, specs);
   EXPECT_EQ(store.hits(), 2u);
   EXPECT_EQ(store.misses(), 2u);
-  EXPECT_EQ(merged.table.rows(), 4u * 9u);  // 9 budget rows per point
-  // The merged result is identical to an uncached sweep.
+  for (const RunResult& r : resumed) {
+    EXPECT_EQ(r.table.rows(), 9u);  // 9 budget rows per spec
+  }
+  // The resumed results are identical to an uncached run.
   SimEngine fresh_engine;
-  const RunResult uncached = fresh_engine.run_sweep(base, {axis});
-  // Last note differs (store vs phy-cache stats); compare tables.
-  EXPECT_EQ(merged.table, uncached.table);
+  expect_same_tables(resumed, fresh_engine.run_all(specs));
 }
 
 TEST_F(ResultStoreTest, SecondSweepRunIsAllHits) {
-  const ScenarioSpec base = cheap_spec();
-  const SweepAxis axis{"ptx",
-                       {0, 5, 10},
-                       [](ScenarioSpec& spec, double value) {
-                         spec.link.ptx_dbm = value;
-                       }};
+  const std::vector<ScenarioSpec> specs = ptx_specs();
   ResultStore store = make_store();
   SimEngine engine;
-  const RunResult first = store.run_sweep(engine, base, {axis});
-  EXPECT_EQ(store.misses(), 3u);
-  const RunResult second = store.run_sweep(engine, base, {axis});
-  EXPECT_EQ(store.hits(), 3u);
-  EXPECT_EQ(store.misses(), 3u);
-  EXPECT_EQ(second.table, first.table);
+  const std::vector<RunResult> first = store.run_all(engine, specs);
+  EXPECT_EQ(store.misses(), 4u);
+  const std::vector<RunResult> second = store.run_all(engine, specs);
+  EXPECT_EQ(store.hits(), 4u);
+  EXPECT_EQ(store.misses(), 4u);
+  expect_same_tables(second, first);
 }
 
 }  // namespace

@@ -116,44 +116,6 @@ TEST(ScenarioSpec, DesWorkloadsTakeAWholeRouterDelayFromTheModel) {
             std::stod(two.table.cell(0, 1)));  // latency_cycles
 }
 
-TEST(ExpandGrid, CartesianProductAndNames) {
-  ScenarioSpec base;
-  base.name = "base";
-  const SweepAxis a{"ptx",
-                    {1.0, 2.0, 3.0},
-                    [](ScenarioSpec& s, double v) { s.link.ptx_dbm = v; }};
-  const SweepAxis b{"sep",
-                    {50.0, 100.0},
-                    [](ScenarioSpec& s, double v) {
-                      s.geometry.separation_mm = v;
-                    }};
-  const auto grid = expand_grid(base, {a, b});
-  ASSERT_EQ(grid.size(), 6u);
-  // First axis varies slowest; names record every override.
-  EXPECT_EQ(grid[0].name, "base/ptx=1;sep=50");
-  EXPECT_EQ(grid[1].name, "base/ptx=1;sep=100");
-  EXPECT_EQ(grid[5].name, "base/ptx=3;sep=100");
-  EXPECT_DOUBLE_EQ(grid[0].link.ptx_dbm, 1.0);
-  EXPECT_DOUBLE_EQ(grid[5].link.ptx_dbm, 3.0);
-  EXPECT_DOUBLE_EQ(grid[5].geometry.separation_mm, 100.0);
-}
-
-TEST(ExpandGrid, NoAxesYieldsBase) {
-  ScenarioSpec base;
-  base.name = "solo";
-  const auto grid = expand_grid(base, {});
-  ASSERT_EQ(grid.size(), 1u);
-  EXPECT_EQ(grid[0].name, "solo");
-}
-
-TEST(ExpandGrid, RejectsEmptyAxis) {
-  const ScenarioSpec base;
-  const SweepAxis empty{"x", {}, [](ScenarioSpec&, double) {}};
-  EXPECT_THROW((void)expand_grid(base, {empty}), StatusError);
-  const SweepAxis no_apply{"y", {1.0}, nullptr};
-  EXPECT_THROW((void)expand_grid(base, {no_apply}), StatusError);
-}
-
 TEST(TopologySpec, BuildsDeclaredKinds) {
   TopologySpec spec;
   spec.kind = TopologySpec::Kind::kMesh3d;

@@ -46,9 +46,10 @@
 /// timeouts, retries with exponential backoff + deterministic jitter
 /// honoring the server's retry_after_ms hints, and a deterministic
 /// slice of requests carrying tight deadlines the server may answer
-/// with kDeadlineExceeded. Pair with --expect-terminal:
+/// with kDeadlineExceeded. Pair with --expect-terminal, as in this
+/// one-line command:
 ///
-///   wi_loadgen --port-file p.txt --chaos --count 400 \
+///   wi_loadgen --port-file p.txt --chaos --count 400
 ///     --malformed-fraction 0.1 --expect-terminal --shutdown
 
 #include <algorithm>
